@@ -6,10 +6,10 @@
 //! transport and the analysis side drains at its own pace. The
 //! [`CheckpointBus`] is that transport: a multi-producer ring carrying
 //! [`CheckpointBatch`]es from any number of sources (fleet shards, external
-//! monitor streams, replayed traces) to one consumer (normally the
-//! retraining side of [`crate::AdaptiveService`] or
-//! [`crate::AdaptiveRouter`]). Sending never blocks the producer, so the
-//! fleet's worker pool is fully decoupled from retraining.
+//! monitor streams, replayed traces) to one consumer (normally the ingest
+//! thread of an [`crate::AdaptiveRouter`]). Sending never blocks the
+//! producer, so the fleet's worker pool is fully decoupled from
+//! retraining.
 //!
 //! # Back-pressure
 //!

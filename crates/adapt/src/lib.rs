@@ -4,8 +4,8 @@
 //! prediction — periodically retraining the model on a sliding window of
 //! recent checkpoints — beats a static model under dynamic workloads. The
 //! fleet engine scales the paper's single-instance loop to hundreds of
-//! deployments, but against one frozen model; this crate supplies the
-//! adaptation side as a standalone service:
+//! deployments; this crate supplies the adaptation side, live through one
+//! [`AdaptiveRouter`] and offline through journal [`replay`]:
 //!
 //! ```text
 //!  monitor streams / fleet shards
@@ -14,7 +14,7 @@
 //!  [CheckpointBus]  — bounded ring, drop-oldest, per-source fair,
 //!        │            sheds attributed per class
 //!        ▼
-//!  [AdaptationPipeline]  — ONE state machine for every retrainer:
+//!  [AdaptationPipeline]  — ONE state machine, live and in replay:
 //!        │   DriftMonitor (error EWMA ⊕ segment::diagnose) → sticky
 //!        │   trigger → buffer gate → RetrainAction → ThresholdPolicy
 //!        │                                                │ new model
@@ -45,16 +45,19 @@
 //! - [`ModelService`] owns successive model generations behind
 //!   `Arc<dyn Regressor>` plus the effective rejuvenation threshold;
 //!   consumers poll one atomic and re-pin on change.
-//! - [`AdaptiveService`] runs the pipeline on a background thread with a
-//!   **synchronous in-thread** retrain over any [`aging_ml::DynLearner`]
-//!   (M5P, linear regression, GBRT, …), so retraining never pauses the
-//!   threads that serve predictions.
-//! - [`AdaptiveRouter`] runs one pipeline per [`ServiceClass`] for
-//!   **heterogeneous fleets**, fed from the shared bounded bus with a
-//!   **pooled asynchronous** retrain action (≤ 1 in-flight refit per
-//!   class on a fixed worker pool; N classes ≠ N threads) — a memory-leak
-//!   class and a swap-thrash class adapt independently without polluting
-//!   each other's training buffers.
+//! - [`AdaptiveRouter`] is the one live retrainer. It runs one pipeline
+//!   per [`ServiceClass`], fed from the shared bounded bus, with a
+//!   **pooled asynchronous** retrain over any [`aging_ml::DynLearner`]
+//!   (M5P, linear regression, GBRT, …): ≤ 1 in-flight refit per class on
+//!   a fixed worker pool, so N classes ≠ N threads and retraining never
+//!   pauses the threads that serve predictions. A homogeneous fleet is a
+//!   router with one class; in a heterogeneous one a memory-leak class
+//!   and a swap-thrash class adapt independently without polluting each
+//!   other's training buffers.
+//! - [`replay`] re-runs a recorded checkpoint journal through the same
+//!   pipeline with a **synchronous in-thread** retrain: crash recovery,
+//!   what-if runs, and the scoring backend of policy search. Under paced
+//!   input it ends in the same state as the live router, bit for bit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -80,10 +83,7 @@ pub use router::{
     AdaptiveRouter, AdaptiveRouterBuilder, ClassAdaptation, ClassSpec, ClassSpecBuilder,
     RouterConfig, RouterConfigBuilder, RouterError, RouterStats,
 };
-pub use service::{
-    AdaptConfig, AdaptConfigBuilder, AdaptationStats, AdaptiveService, AdaptiveServiceBuilder,
-    ModelService, ModelSnapshot,
-};
+pub use service::{AdaptConfig, AdaptConfigBuilder, AdaptationStats, ModelService, ModelSnapshot};
 
 #[cfg(test)]
 mod tests {
@@ -226,6 +226,21 @@ mod tests {
         assert_eq!(service.generation(), 100);
     }
 
+    /// A one-class router serving the stale y = 2x model as generation 0 —
+    /// the live retrainer a homogeneous fleet runs.
+    fn one_class_router(learner: Arc<dyn DynLearner>, config: AdaptConfig) -> AdaptiveRouter {
+        AdaptiveRouter::builder(vec!["x".into()])
+            .class(
+                ServiceClass::default(),
+                ClassSpec::builder(learner, initial_model()).config(config).build(),
+            )
+            .spawn()
+    }
+
+    fn only_class(stats: &RouterStats) -> AdaptationStats {
+        *stats.class(&ServiceClass::default()).expect("the one class is registered")
+    }
+
     /// Drift on the error stream triggers a retrain on the buffered regime
     /// and publishes a new generation whose predictions track it.
     fn drifts_and_retrains_with(learner: Arc<dyn DynLearner>) {
@@ -243,12 +258,9 @@ mod tests {
             buffer_capacity: 512,
             min_buffer_to_retrain: 50,
             retrain_every: None,
-            bus_capacity: DEFAULT_BUS_CAPACITY,
         };
-        let service = AdaptiveService::builder(learner, vec!["x".into()], initial_model())
-            .config(config)
-            .spawn();
-        let bus = service.bus();
+        let router = one_class_router(learner, config);
+        let bus = router.bus();
         // New regime: y = -3x + 600. The initial model (y = 2x) is off by
         // hundreds of seconds, so the EWMA breaches quickly.
         let truth = |x: f64| 600.0 - 3.0 * x;
@@ -260,12 +272,12 @@ mod tests {
             });
             assert!(bus.publish(batch(xs)));
         }
-        assert!(service.quiesce(Duration::from_secs(30)), "bus must drain");
-        let stats = service.stats();
+        assert!(router.quiesce(Duration::from_secs(30)), "bus and pool must settle");
+        let stats = only_class(&router.stats());
         assert!(stats.drift_events >= 1, "drift must fire: {stats:?}");
         assert!(stats.retrains >= 1, "drift must cause a retrain: {stats:?}");
         assert!(stats.generations_published >= 1);
-        let snap = service.model_service().snapshot();
+        let snap = router.model_service(&ServiceClass::default()).unwrap().snapshot();
         assert!(snap.generation >= 1);
         let pred = snap.model.predict(&[40.0]);
         let want = truth(40.0);
@@ -274,7 +286,7 @@ mod tests {
             "generation {} must beat the stale model: pred {pred}, truth {want}",
             snap.generation
         );
-        let final_stats = service.shutdown();
+        let final_stats = only_class(&router.shutdown());
         assert_eq!(final_stats.ingested_checkpoints, 256);
     }
 
@@ -300,22 +312,16 @@ mod tests {
             min_buffer_to_retrain: 10,
             ..Default::default()
         };
-        let service = AdaptiveService::builder(
-            Arc::new(LinRegLearner::default()),
-            vec!["x".into()],
-            initial_model(),
-        )
-        .config(config)
-        .spawn();
-        let bus = service.bus();
+        let router = one_class_router(Arc::new(LinRegLearner::default()), config);
+        let bus = router.bus();
         for _ in 0..5 {
             bus.publish(batch((0..50).map(|i| (i as f64, 9999.0, Some(0.0)))));
         }
-        assert!(service.quiesce(Duration::from_secs(30)));
-        let stats = service.shutdown();
+        assert!(router.quiesce(Duration::from_secs(30)));
+        let stats = only_class(&router.shutdown());
         assert_eq!(stats.generations_published, 0, "disabled drift must never publish");
         assert_eq!(stats.retrains, 0);
-        assert!(stats.ingested_checkpoints == 250);
+        assert_eq!(stats.ingested_checkpoints, 250);
         assert!(stats.error_ewma_secs.unwrap() > 0.0, "statistics still flow");
     }
 
@@ -326,24 +332,19 @@ mod tests {
             buffer_capacity: 256,
             min_buffer_to_retrain: 20,
             retrain_every: Some(40),
-            bus_capacity: DEFAULT_BUS_CAPACITY,
         };
-        let service = AdaptiveService::builder(
-            Arc::new(LinRegLearner::default()),
-            vec!["x".into()],
-            initial_model(),
-        )
-        .config(config)
-        .spawn();
-        let bus = service.bus();
+        let router = one_class_router(Arc::new(LinRegLearner::default()), config);
+        let bus = router.bus();
         for chunk in 0..4 {
             bus.publish(batch((0..40).map(|i| {
                 let x = (chunk * 40 + i) as f64;
                 (x, 5.0 * x, None)
             })));
+            // Paced: each scheduled refit lands before the next is due, so
+            // none is deferred behind an in-flight job.
+            assert!(router.quiesce(Duration::from_secs(30)));
         }
-        assert!(service.quiesce(Duration::from_secs(30)));
-        let stats = service.shutdown();
+        let stats = only_class(&router.shutdown());
         assert!(stats.retrains >= 3, "periodic schedule must retrain: {stats:?}");
         assert_eq!(stats.drift_events, 0);
     }
@@ -351,31 +352,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "min_buffer_to_retrain")]
     fn min_buffer_above_capacity_rejected() {
-        let _ = AdaptiveService::builder(
+        let _ = one_class_router(
             Arc::new(LinRegLearner::default()),
-            vec!["x".into()],
-            initial_model(),
-        )
-        .config(AdaptConfig {
-            buffer_capacity: 100,
-            min_buffer_to_retrain: 200,
-            ..Default::default()
-        })
-        .spawn();
+            AdaptConfig { buffer_capacity: 100, min_buffer_to_retrain: 200, ..Default::default() },
+        );
     }
 
     /// A degenerate self-tuning policy must be rejected on the caller's
-    /// thread at spawn time — not panic silently inside the retrainer.
+    /// thread when the class spec is built — not panic silently inside
+    /// the ingest thread.
     #[test]
     #[should_panic(expected = "drift margin")]
     fn degenerate_policy_rejected_at_spawn() {
-        let _ = AdaptiveService::builder(
-            Arc::new(LinRegLearner::default()),
-            vec!["x".into()],
-            initial_model(),
-        )
-        .policy(Arc::new(QuantileAdaptive { drift_margin: 0.5, ..Default::default() }))
-        .spawn();
+        let _ = ClassSpec::builder(Arc::new(LinRegLearner::default()), initial_model())
+            .policy(Arc::new(QuantileAdaptive { drift_margin: 0.5, ..Default::default() }))
+            .build();
     }
 
     #[test]
@@ -399,21 +390,15 @@ mod tests {
             buffer_capacity: 512,
             min_buffer_to_retrain: 100,
             retrain_every: None,
-            bus_capacity: DEFAULT_BUS_CAPACITY,
         };
-        let service = AdaptiveService::builder(
-            Arc::new(LinRegLearner::default()),
-            vec!["x".into()],
-            initial_model(),
-        )
-        .config(config)
-        .spawn();
-        let bus = service.bus();
+        let router = one_class_router(Arc::new(LinRegLearner::default()), config);
+        let bus = router.bus();
         // 10 huge-error checkpoints: drift fires, buffer is only 10 deep.
         bus.publish(batch((0..10).map(|i| (i as f64, 5000.0, Some(0.0)))));
-        assert!(service.quiesce(Duration::from_secs(30)));
-        assert_eq!(service.stats().retrains, 0, "gate must hold the retrain back");
-        assert!(service.stats().drift_events >= 1, "the trigger itself must have fired");
+        assert!(router.quiesce(Duration::from_secs(30)));
+        let early = only_class(&router.stats());
+        assert_eq!(early.retrains, 0, "gate must hold the retrain back");
+        assert!(early.drift_events >= 1, "the trigger itself must have fired");
         // Quiet labelled data (no predictions → no new drift): crossing
         // the gate must release the pending retrain.
         for chunk in 0..3 {
@@ -422,8 +407,8 @@ mod tests {
                 (x, 2.0 * x, None)
             })));
         }
-        assert!(service.quiesce(Duration::from_secs(30)));
-        let stats = service.shutdown();
+        assert!(router.quiesce(Duration::from_secs(30)));
+        let stats = only_class(&router.shutdown());
         assert!(
             stats.retrains >= 1,
             "pending drift trigger must fire once the buffer fills: {stats:?}"
@@ -432,20 +417,15 @@ mod tests {
 
     #[test]
     fn mismatched_arity_checkpoints_are_dropped_not_fatal() {
-        let service = AdaptiveService::builder(
-            Arc::new(LinRegLearner::default()),
-            vec!["x".into()],
-            initial_model(),
-        )
-        .spawn();
-        let bus = service.bus();
+        let router = one_class_router(Arc::new(LinRegLearner::default()), AdaptConfig::default());
+        let bus = router.bus();
         bus.publish(CheckpointBatch {
             source: "bad".into(),
             class: ServiceClass::default(),
             checkpoints: vec![LabelledCheckpoint::new(vec![1.0, 2.0, 3.0], 10.0, None)],
         });
-        assert!(service.quiesce(Duration::from_secs(10)));
-        let stats = service.shutdown();
+        assert!(router.quiesce(Duration::from_secs(10)));
+        let stats = only_class(&router.shutdown());
         assert_eq!(stats.ingested_checkpoints, 1);
         assert_eq!(stats.buffered, 0, "bad-arity rows never enter the buffer");
     }

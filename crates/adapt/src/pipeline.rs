@@ -1,14 +1,14 @@
 //! The unified adaptation pipeline: one state machine for every retrainer.
 //!
 //! The paper's core loop — observe prediction error, detect staleness,
-//! retrain, republish — used to exist twice in this crate:
-//! [`crate::AdaptiveService`]'s retrainer thread and
-//! [`crate::AdaptiveRouter`]'s ingest loop each reimplemented the
-//! drift-observe → sticky-trigger → buffer-gate sequence, differing
-//! *only* in how the retrain itself runs (synchronous in-thread fit vs a
-//! pooled asynchronous refit with at most one in-flight job per class).
-//! [`AdaptationPipeline`] is that shared state machine, parameterised over
-//! exactly the varying part — the [`RetrainAction`]:
+//! retrain, republish — runs in two places: live, per class, on
+//! [`crate::AdaptiveRouter`]'s ingest thread, and offline in journal
+//! [`replay`](crate::replay::replay). The two differ *only* in how the
+//! retrain itself runs (a pooled asynchronous refit with at most one
+//! in-flight job per class vs a synchronous in-thread fit).
+//! [`AdaptationPipeline`] is the one drift-observe → sticky-trigger →
+//! buffer-gate state machine both drive, parameterised over exactly the
+//! varying part — the [`RetrainAction`]:
 //!
 //! ```text
 //!  CheckpointBatch
@@ -76,12 +76,12 @@ pub enum RetrainDisposition {
 /// The part of the adaptation loop that differs between deployments: how
 /// labelled rows are buffered and how a retrain actually runs.
 ///
-/// [`crate::AdaptiveService`] implements it as a synchronous in-thread fit
-/// over an `OnlineRegressor`; [`crate::AdaptiveRouter`] as a buffer
-/// snapshot enqueued onto a shared worker pool with at most one in-flight
-/// job per class. Everything else — drift detection, trigger stickiness,
-/// gating, scheduling, threshold policy — is the pipeline's and identical
-/// for both.
+/// [`crate::AdaptiveRouter`] implements it as a buffer snapshot enqueued
+/// onto a shared worker pool with at most one in-flight job per class;
+/// journal [`replay`](crate::replay::replay) as a synchronous in-thread
+/// fit over an `OnlineRegressor`. Everything else — drift detection,
+/// trigger stickiness, gating, scheduling, threshold policy — is the
+/// pipeline's and identical for both.
 pub trait RetrainAction {
     /// Offers one labelled row to the sliding training buffer. Returns the
     /// new buffered count, or `None` when the row was rejected (arity
@@ -126,18 +126,40 @@ pub trait RetrainAction {
     /// A 64-bit digest of the action's replay-relevant state — the buffer
     /// contents, row for row and bit for bit, plus the serving
     /// generation. Journal replay compares it against a restored action
-    /// to prove bit-identity. Default 0 for actions that do not support
-    /// replay.
+    /// to prove bit-identity, so every action that supports replay
+    /// reports the same format. Default 0 for actions that do not.
     fn state_digest(&self) -> u64 {
         0
     }
 }
 
+/// The action digest format: serving generation, buffered row count,
+/// then every buffered row oldest first (arity, feature bits, label
+/// bits). Both retrain actions report it, so a live router's digest
+/// compares directly against an offline replay's.
+pub(crate) fn buffer_digest<'a>(
+    generation: u64,
+    buffered: usize,
+    rows: impl IntoIterator<Item = (&'a [f64], f64)>,
+) -> u64 {
+    let mut digest = Digest64::new();
+    digest.write_u64(generation);
+    digest.write_u64(buffered as u64);
+    for (features, ttf_secs) in rows {
+        digest.write_u64(features.len() as u64);
+        for value in features {
+            digest.write_f64(*value);
+        }
+        digest.write_f64(ttf_secs);
+    }
+    digest.finish()
+}
+
 /// Shared counters a pipeline publishes for concurrent stats readers.
 ///
-/// The pipeline runs on one thread; services and routers snapshot these
-/// from others (and pooled refit workers bump the retrain counters), so
-/// everything is atomic. All counters are monotone except `buffered`,
+/// The pipeline runs on one thread; routers snapshot these from others
+/// (and pooled refit workers bump the retrain counters), so everything
+/// is atomic. All counters are monotone except `buffered`,
 /// `error_ewma_secs` and the effective thresholds.
 #[derive(Debug)]
 pub struct PipelineCounters {
@@ -227,7 +249,7 @@ impl PipelineCounters {
 }
 
 /// Per-class telemetry handles for one pipeline, resolved once by its
-/// owner (the router's ingest loop, the service's retrainer) and updated
+/// owner (the router's ingest loop) and updated
 /// **batch-wise** — never per checkpoint row — so an uninstrumented
 /// pipeline pays one branch per batch per instrument.
 #[derive(Debug, Default, Clone)]
@@ -331,7 +353,7 @@ impl<A: RetrainAction> AdaptationPipeline<A> {
     }
 
     /// Creates a pipeline publishing into existing shared `counters` (the
-    /// handle a service or router hands to its stats readers).
+    /// handle a router hands to its stats readers).
     ///
     /// # Panics
     ///
@@ -342,7 +364,7 @@ impl<A: RetrainAction> AdaptationPipeline<A> {
         counters: Arc<PipelineCounters>,
         action: A,
     ) -> Self {
-        config.validate_adaptation();
+        config.validate();
         policy.validate();
         AdaptationPipeline {
             monitor: DriftMonitor::new(config.drift),

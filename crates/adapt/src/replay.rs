@@ -85,9 +85,10 @@ pub struct ReplayOutcome {
 
 /// Replays the journal at `dir` through fresh per-class pipelines.
 ///
-/// Each `(class, spec)` pair gets its own [`AdaptationPipeline`] with the
-/// same synchronous in-thread action the [`AdaptiveService`] retrainer
-/// uses; recorded checkpoint batches are re-ingested in journal order.
+/// Each `(class, spec)` pair gets its own [`AdaptationPipeline`] — the
+/// state machine the live [`AdaptiveRouter`] runs per class — with a
+/// synchronous in-thread retrain in place of the router's worker pool;
+/// recorded checkpoint batches are re-ingested in journal order.
 /// Passing the specs of the original run makes this **crash recovery**;
 /// passing altered specs makes it a **what-if run** over the same
 /// recorded stream.
@@ -99,7 +100,7 @@ pub struct ReplayOutcome {
 /// `PartitionAssigned` record is surfaced in
 /// [`ReplayOutcome::partition`].
 ///
-/// [`AdaptiveService`]: crate::AdaptiveService
+/// [`AdaptiveRouter`]: crate::AdaptiveRouter
 ///
 /// # Errors
 ///
@@ -263,33 +264,4 @@ fn replay_impl(
         truncated_bytes: read.truncated_bytes,
         partition,
     })
-}
-
-/// Feeds every journalled checkpoint batch for `class` through
-/// `pipeline`, in recorded order. Shared by [`replay`] consumers that
-/// already own a pipeline — the [`AdaptiveService`] and
-/// [`AdaptiveRouter`] spawn paths replay into their live pipelines with
-/// this before attaching the journal for new appends.
-///
-/// Returns `(batches_applied, rows_applied)`.
-///
-/// [`AdaptiveService`]: crate::AdaptiveService
-/// [`AdaptiveRouter`]: crate::AdaptiveRouter
-pub(crate) fn replay_class_into<A: RetrainAction>(
-    records: &[(u64, JournalRecord)],
-    pipeline: &mut AdaptationPipeline<A>,
-    class: &str,
-) -> (u64, u64) {
-    let mut applied = 0u64;
-    let mut rows = 0u64;
-    for (_seq, record) in records {
-        if let JournalRecord::Checkpoints { class: recorded, rows: batch } = record {
-            if recorded == class {
-                applied += 1;
-                rows += batch.len() as u64;
-                pipeline.ingest(batch.iter().cloned().map(LabelledCheckpoint::from).collect());
-            }
-        }
-    }
-    (applied, rows)
 }

@@ -1,10 +1,11 @@
-//! Class-routed adaptation for heterogeneous fleets.
+//! Class-routed live adaptation — the one live retrainer.
 //!
-//! One [`crate::AdaptiveService`] fits one model for the *whole* fleet —
-//! fine while every deployment ages the same way, wrong the moment a
-//! memory-leak class and a swap-thrash class share a training buffer: each
-//! class's labelled epochs drag the other's model towards the average of
-//! two regimes. The [`AdaptiveRouter`] is the heterogeneous counterpart:
+//! One model for the *whole* fleet is fine while every deployment ages
+//! the same way, and wrong the moment a memory-leak class and a
+//! swap-thrash class share a training buffer: each class's labelled
+//! epochs drag the other's model towards the average of two regimes. The
+//! [`AdaptiveRouter`] gives every class its own model and pipeline; a
+//! homogeneous fleet is simply a router with one class:
 //!
 //! ```text
 //!  shards / monitor streams          (CheckpointBatch tagged with class)
@@ -24,8 +25,8 @@
 //! ```
 //!
 //! Every class runs the **same** [`AdaptationPipeline`] state machine as
-//! the single-service retrainer — drift-observe, sticky trigger, buffer
-//! gate, threshold policy — parameterised with the pooled
+//! offline journal replay — drift-observe, sticky trigger, buffer gate,
+//! threshold policy — parameterised with the pooled
 //! [`RetrainAction`](crate::RetrainAction): the trigger snapshots the
 //! class's sliding buffer into a [`RefitJob`] for the shared worker pool,
 //! with at most one job per class in flight. A slow learner never piles up
@@ -35,12 +36,13 @@
 
 use crate::bus::{BusReceiver, CheckpointBatch, CheckpointBus, ServiceClass};
 use crate::pipeline::{
-    AdaptationPipeline, PipelineCounters, PipelineInstruments, RetrainAction, RetrainDisposition,
+    buffer_digest, AdaptationPipeline, PipelineCounters, PipelineInstruments, RetrainAction,
+    RetrainDisposition,
 };
 use crate::policy::{FixedThresholds, ThresholdPolicy, Thresholds};
 use crate::service::{AdaptConfig, AdaptationStats, ModelService};
 use aging_dataset::Dataset;
-use aging_journal::{Digest64, Journal, JournalRecord};
+use aging_journal::{Journal, JournalRecord};
 use aging_ml::{DynLearner, Regressor};
 use aging_obs::{
     trace_of, EventId, EventKind, EventScope, FlightRecorder, HistogramHandle, Recorder, Registry,
@@ -69,8 +71,8 @@ pub struct ClassSpec {
     pub learner: Arc<dyn DynLearner>,
     /// The model served as generation 0 until the first refit.
     pub initial: Arc<dyn Regressor>,
-    /// Per-class adaptation tuning. `bus_capacity` is ignored here — the
-    /// ring is shared and sized by [`RouterConfig::bus_capacity`].
+    /// Per-class adaptation tuning. The ingestion ring is shared by every
+    /// class and sized by [`RouterConfig::bus_capacity`].
     pub config: AdaptConfig,
     /// Threshold policy for this class (defaults to [`FixedThresholds`]).
     /// Classes may share one `Arc` — each class's pipeline consults it
@@ -124,7 +126,7 @@ impl ClassSpecBuilder {
     /// Panics when [`AdaptConfig`] or the policy's invariants are violated
     /// (zero buffer capacity, non-finite thresholds, inverted quantiles…).
     pub fn build(self) -> ClassSpec {
-        self.spec.config.validate_adaptation();
+        self.spec.config.validate();
         self.spec.policy.validate();
         self.spec
     }
@@ -225,7 +227,7 @@ pub struct ClassAdaptation {
     /// merge target and new batches naming it route there). Counters stay
     /// frozen at their retirement values.
     pub retired: bool,
-    /// Its counters, shaped exactly like the single-service stats.
+    /// Its counters.
     pub stats: AdaptationStats,
 }
 
@@ -461,21 +463,11 @@ impl RetrainAction for PooledRetrain {
     }
 
     fn state_digest(&self) -> u64 {
-        // Format shared with the single-service in-thread action:
-        // generation, row count, then every buffered row (arity, feature
-        // bits, label bits). Recovery tests compare these digests against
-        // an offline replay, which runs the in-thread action.
-        let mut digest = Digest64::new();
-        digest.write_u64(self.generation());
-        digest.write_u64(self.buffer.len() as u64);
-        for (features, ttf_secs) in &self.buffer {
-            digest.write_u64(features.len() as u64);
-            for value in features {
-                digest.write_f64(*value);
-            }
-            digest.write_f64(*ttf_secs);
-        }
-        digest.finish()
+        buffer_digest(
+            self.generation(),
+            self.buffer.len(),
+            self.buffer.iter().map(|(features, ttf)| (features.as_slice(), *ttf)),
+        )
     }
 }
 
@@ -750,9 +742,7 @@ fn make_class_shared(
     telemetry: Option<&Registry>,
     trace: &TraceHandle,
 ) -> Arc<ClassShared> {
-    // Not `validate()`: the per-class `bus_capacity` really is ignored
-    // (the ring is shared), as the `ClassSpec` docs say.
-    spec.config.validate_adaptation();
+    spec.config.validate();
     spec.policy.validate();
     let service = Arc::new(ModelService::new(Arc::clone(&spec.initial)));
     let refit_duration = match telemetry {
@@ -805,26 +795,6 @@ impl AdaptiveRouter {
             journal: None,
             replay: false,
         }
-    }
-
-    /// Spawns the ingest thread and the shared retrainer pool and returns
-    /// the running router.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or duplicated class list, a zero-sized pool or
-    /// ring, and any degenerate per-class [`AdaptConfig`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AdaptiveRouter::builder(feature_names).classes(classes)\
-                .config(config).spawn()"
-    )]
-    pub fn spawn(
-        classes: Vec<(ServiceClass, ClassSpec)>,
-        feature_names: Vec<String>,
-        config: RouterConfig,
-    ) -> Self {
-        AdaptiveRouter::builder(feature_names).classes(classes).config(config).spawn()
     }
 
     /// A producer handle on the shared ingestion ring (clone freely).
@@ -976,7 +946,7 @@ impl AdaptiveRouter {
     /// Panics on a degenerate per-class [`AdaptConfig`] or threshold
     /// policy, exactly like registration.
     pub fn apply_spec(&self, class: &ServiceClass, spec: ClassSpec) -> Result<(), RouterError> {
-        spec.config.validate_adaptation();
+        spec.config.validate();
         spec.policy.validate();
         let table = self.shared.table.read().expect("class table poisoned");
         // By slot, not the name index: a retired name re-points at its
@@ -1515,7 +1485,6 @@ mod tests {
             })
             .buffer_capacity(512)
             .min_buffer_to_retrain(40)
-            .bus_capacity(256)
             .build()
     }
 
@@ -1645,7 +1614,6 @@ mod tests {
                     .buffer_capacity(512)
                     .min_buffer_to_retrain(40)
                     .retrain_every(50)
-                    .bus_capacity(256)
                     .build();
                 (
                     ServiceClass::new(format!("c{i}")),

@@ -1,27 +1,22 @@
-//! The model service: generation-counted hot model swap, and the
-//! background retrainer that feeds it — a thin wrapper around the shared
-//! [`AdaptationPipeline`] with a synchronous in-thread
-//! [`RetrainAction`](crate::RetrainAction).
+//! The model service: generation-counted hot model swap; the per-class
+//! adaptation config and counters; and the synchronous in-thread
+//! [`RetrainAction`](crate::RetrainAction) that offline journal replay
+//! runs.
 
-use crate::bus::{BusReceiver, CheckpointBus, ServiceClass};
+use crate::bus::ServiceClass;
 use crate::drift::DriftConfig;
-use crate::pipeline::{
-    AdaptationPipeline, PipelineCounters, PipelineInstruments, RetrainAction, RetrainDisposition,
-};
-use crate::policy::{FixedThresholds, ThresholdPolicy, Thresholds};
-use aging_journal::{Digest64, Journal};
+use crate::pipeline::{buffer_digest, PipelineCounters, RetrainAction, RetrainDisposition};
+use crate::policy::Thresholds;
 use aging_ml::online::OnlineRegressor;
 use aging_ml::{DynLearner, Regressor};
 use aging_obs::{
-    trace_of, EventId, EventKind, EventScope, FlightRecorder, HistogramHandle, Recorder, Registry,
-    TraceHandle, Unit,
+    EventId, EventKind, EventScope, HistogramHandle, Recorder, Registry, TraceHandle, Unit,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A pinned view of the serving model: the model `Arc` plus the generation
 /// it belongs to. Consumers pin one snapshot per unit of work (the fleet
@@ -45,10 +40,11 @@ pub struct ModelSnapshot {
 ///
 /// Besides models, the service carries the **effective rejuvenation
 /// threshold** ([`ModelService::rejuvenation_threshold_secs`]): a
-/// self-tuning [`ThresholdPolicy`] publishes its derived predictive
-/// threshold here alongside the generations, and the fleet engine re-reads
-/// it at every epoch boundary — `None` (the fixed-policy state) leaves
-/// each instance's configured threshold untouched.
+/// self-tuning [`ThresholdPolicy`](crate::ThresholdPolicy) publishes its
+/// derived predictive threshold here alongside the generations, and the
+/// fleet engine re-reads it at every epoch boundary — `None` (the
+/// fixed-policy state) leaves each instance's configured threshold
+/// untouched.
 ///
 /// # Consistency
 ///
@@ -342,10 +338,6 @@ pub struct AdaptConfig {
     /// drift (the paper's plain periodic adaptation); `None` retrains on
     /// drift only.
     pub retrain_every: Option<usize>,
-    /// Capacity (in batches) of the bounded ingestion ring the service
-    /// creates — the back-pressure bound under a stalled retrainer. See
-    /// [`crate::CheckpointBus::bounded`] for the drop-oldest semantics.
-    pub bus_capacity: usize,
 }
 
 impl Default for AdaptConfig {
@@ -355,7 +347,6 @@ impl Default for AdaptConfig {
             buffer_capacity: 4096,
             min_buffer_to_retrain: 200,
             retrain_every: None,
-            bus_capacity: crate::DEFAULT_BUS_CAPACITY,
         }
     }
 }
@@ -367,11 +358,8 @@ impl AdaptConfig {
     }
 
     /// Panics with a message when an adaptation parameter (drift tuning,
-    /// buffer sizing) is degenerate. `bus_capacity` is deliberately *not*
-    /// checked here: the per-class router ignores it (its ring is shared),
-    /// so only consumers that actually build a ring from this config
-    /// validate it.
-    pub(crate) fn validate_adaptation(&self) {
+    /// buffer sizing) is degenerate.
+    pub(crate) fn validate(&self) {
         assert!(self.buffer_capacity > 0, "buffer capacity must be positive");
         assert!(
             self.min_buffer_to_retrain <= self.buffer_capacity,
@@ -381,13 +369,6 @@ impl AdaptConfig {
             self.buffer_capacity
         );
         self.drift.validate();
-    }
-
-    /// Full validation for consumers that also size their ingestion ring
-    /// from this config ([`AdaptiveServiceBuilder::spawn`]).
-    pub(crate) fn validate(&self) {
-        self.validate_adaptation();
-        assert!(self.bus_capacity > 0, "bus capacity must be positive");
     }
 }
 
@@ -430,17 +411,11 @@ impl AdaptConfigBuilder {
         self
     }
 
-    /// Sets the bounded ingestion ring capacity, in batches.
-    pub fn bus_capacity(mut self, capacity: usize) -> Self {
-        self.config.bus_capacity = capacity;
-        self
-    }
-
     /// Finishes the configuration.
     ///
     /// # Panics
     ///
-    /// Panics when the parameters are degenerate (zero capacities, a
+    /// Panics when the parameters are degenerate (zero buffer capacity, a
     /// retrain gate above the buffer capacity, bad drift tuning).
     pub fn build(self) -> AdaptConfig {
         self.config.validate();
@@ -452,7 +427,7 @@ impl AdaptConfigBuilder {
 ///
 /// All fields are monotone except `buffered`, `error_ewma_secs` and the
 /// effective thresholds; the struct is safe to snapshot at any time while
-/// the service runs.
+/// the router runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdaptationStats {
     /// Labelled checkpoints ingested from the bus.
@@ -485,8 +460,8 @@ pub struct AdaptationStats {
     #[serde(default)]
     pub error_ewma_secs: Option<f64>,
     /// Drift error-level threshold in force when snapshotted, seconds —
-    /// the configured constant under [`FixedThresholds`], self-tuned under
-    /// an adaptive [`ThresholdPolicy`].
+    /// the configured constant under [`FixedThresholds`](crate::FixedThresholds),
+    /// self-tuned under an adaptive [`ThresholdPolicy`](crate::ThresholdPolicy).
     pub effective_error_threshold_secs: f64,
     /// Rejuvenation-threshold override in force, seconds (`None` until a
     /// self-tuning policy publishes one).
@@ -494,8 +469,7 @@ pub struct AdaptationStats {
 }
 
 impl AdaptationStats {
-    /// Builds the stats snapshot shared by the service and the per-class
-    /// router entries.
+    /// Builds one class's stats snapshot from its pipeline counters.
     pub(crate) fn from_counters(
         counters: &PipelineCounters,
         generation: u64,
@@ -520,10 +494,12 @@ impl AdaptationStats {
 /// The synchronous [`RetrainAction`]: buffer into an [`OnlineRegressor`],
 /// fit in-thread, publish straight into the [`ModelService`].
 ///
-/// Crate-visible because offline journal replay
-/// ([`crate::replay::replay`]) re-runs recorded streams through the exact
-/// same action the live service uses — what-if runs diverge only where
-/// the configuration diverges, never from a second implementation.
+/// Offline journal replay ([`crate::replay::replay`], and through it the
+/// policy tuner's evaluator) runs recorded streams through this action:
+/// single-threaded, so a replay is exactly reproducible. It is also the
+/// reference the live router's pooled action is checked against — both
+/// report the same [`buffer_digest`], and the equivalence and recovery
+/// tests compare the two bit for bit.
 #[derive(Debug)]
 pub(crate) struct InThreadRetrain {
     online: OnlineRegressor<Arc<dyn DynLearner>>,
@@ -625,440 +601,8 @@ impl RetrainAction for InThreadRetrain {
     }
 
     fn state_digest(&self) -> u64 {
-        // Format shared with the router's pooled action: generation, row
-        // count, then every buffered row (arity, feature bits, label
-        // bits). Keep the two in lock-step — recovery tests compare live
-        // digests against replay digests across the two actions.
-        let mut digest = Digest64::new();
-        digest.write_u64(self.models.generation());
-        digest.write_u64(self.online.buffered() as u64);
-        for (features, ttf_secs) in self.online.rows() {
-            digest.write_u64(features.len() as u64);
-            for value in features {
-                digest.write_f64(*value);
-            }
-            digest.write_f64(ttf_secs);
-        }
-        digest.finish()
+        buffer_digest(self.models.generation(), self.online.buffered(), self.online.rows())
     }
-}
-
-/// The drift-triggered online retraining service.
-///
-/// Owns a [`ModelService`] (the serving side) and a background retrainer
-/// thread running an [`AdaptationPipeline`] with a synchronous in-thread
-/// retrain action (the learning side), connected to producers by a
-/// [`CheckpointBus`]. Labelled checkpoints stream in; the pipeline feeds
-/// them to an [`OnlineRegressor`] sliding buffer and a
-/// [`crate::DriftMonitor`]; when drift fires (or a periodic schedule comes
-/// due) it refits the learner on the buffer and publishes the result as a
-/// new generation — all without ever blocking the threads that serve
-/// predictions. An optional self-tuning [`ThresholdPolicy`] re-derives the
-/// operating thresholds on every publish.
-///
-/// # Example
-///
-/// ```
-/// use aging_adapt::{AdaptiveService, CheckpointBatch, LabelledCheckpoint};
-/// use aging_ml::linreg::LinRegLearner;
-/// use aging_ml::{DynLearner, Learner, Regressor};
-/// use std::sync::Arc;
-///
-/// // Initial model: y = x fitted on a tiny dataset.
-/// let mut ds = aging_dataset::Dataset::new(vec!["x".into()], "y");
-/// for i in 0..20 {
-///     ds.push_row(vec![i as f64], i as f64)?;
-/// }
-/// let initial: Arc<dyn Regressor> = Arc::from(LinRegLearner::default().fit_boxed(&ds)?);
-/// let learner: Arc<dyn DynLearner> = Arc::new(LinRegLearner::default());
-/// let service =
-///     AdaptiveService::builder(learner, vec!["x".into()], initial).spawn();
-/// assert_eq!(service.model_service().generation(), 0);
-/// let stats = service.shutdown();
-/// assert_eq!(stats.generations_published, 0);
-/// # Ok::<(), aging_ml::MlError>(())
-/// ```
-#[derive(Debug)]
-pub struct AdaptiveService {
-    models: Arc<ModelService>,
-    bus: CheckpointBus,
-    counters: Arc<PipelineCounters>,
-    stop: Arc<AtomicBool>,
-    worker: Option<JoinHandle<()>>,
-    /// Final pipeline state digest, written by the retrainer as it exits.
-    digest: Arc<Mutex<Option<u64>>>,
-    /// Rows restored by journal replay before the retrainer started.
-    /// `counters.ingested` includes them; the bus's enqueued count never
-    /// will, so [`quiesce`](AdaptiveService::quiesce) must subtract this
-    /// baseline or a replayed service would report the bus drained while
-    /// live batches are still queued.
-    replay_baseline: u64,
-}
-
-/// Builder for [`AdaptiveService`] — learner, feature names and initial
-/// model are mandatory (the constructor arguments); configuration and
-/// threshold policy are optional.
-#[derive(Debug)]
-pub struct AdaptiveServiceBuilder {
-    learner: Arc<dyn DynLearner>,
-    feature_names: Vec<String>,
-    initial: Arc<dyn Regressor>,
-    config: AdaptConfig,
-    policy: Arc<dyn ThresholdPolicy>,
-    telemetry: Option<Arc<Registry>>,
-    trace: Option<Arc<FlightRecorder>>,
-    journal: Option<Arc<Journal>>,
-    replay: bool,
-}
-
-impl AdaptiveServiceBuilder {
-    /// Sets the adaptation configuration (defaults to
-    /// [`AdaptConfig::default`]).
-    pub fn config(mut self, config: AdaptConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the self-tuning threshold policy (defaults to
-    /// [`FixedThresholds`], which reproduces the configured constants
-    /// exactly).
-    pub fn policy(mut self, policy: Arc<dyn ThresholdPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Attaches a telemetry registry: bus depth/shed, drift and buffer
-    /// gauges, refit-duration and publish→first-pin swap-latency
-    /// histograms, all labelled with the default service class. Without
-    /// this call every instrument stays a no-op (one untaken branch per
-    /// update site).
-    pub fn telemetry(mut self, registry: Arc<Registry>) -> Self {
-        self.telemetry = Some(registry);
-        self
-    }
-
-    /// Attaches a causal trace sink: drift/trigger/refit/publish and bus
-    /// shed events are recorded into `recorder`, labelled with the default
-    /// service class. Independent of [`telemetry`]; without this call no
-    /// event is built and no clock is read on any trace site.
-    ///
-    /// [`telemetry`]: AdaptiveServiceBuilder::telemetry
-    pub fn trace(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.trace = Some(recorder);
-        self
-    }
-
-    /// Attaches a durable checkpoint journal: every ingested batch is
-    /// appended (and fsync-batched) *before* it is buffered, and every
-    /// generation publish and threshold re-derivation is recorded
-    /// alongside — enough to reconstruct the learning side's state after
-    /// a crash. Append failures never stall ingestion; they are counted
-    /// in the pipeline's `journal_errors`.
-    pub fn journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Replays the attached journal synchronously before the retrainer
-    /// starts: recorded checkpoint batches re-ingest through the same
-    /// pipeline the live stream feeds, restoring the sliding buffer,
-    /// model generations and derived thresholds. Replayed batches are
-    /// not re-journaled. No effect unless
-    /// [`journal`](AdaptiveServiceBuilder::journal) is also set.
-    pub fn replay(mut self) -> Self {
-        self.replay = true;
-        self
-    }
-
-    /// Spawns the retrainer thread and returns the running service.
-    ///
-    /// When a journal is attached with replay requested, the recorded
-    /// stream is re-ingested on the *caller's* thread before the
-    /// retrainer spawns — by the time this returns, the restored
-    /// generations and thresholds are visible through the model service.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate configuration (zero buffer capacity, bad
-    /// drift parameters), and on a requested replay whose journal cannot
-    /// be read (mid-log corruption; a torn tail is tolerated and
-    /// truncated).
-    pub fn spawn(self) -> AdaptiveService {
-        let AdaptiveServiceBuilder {
-            learner,
-            feature_names,
-            initial,
-            config,
-            policy,
-            telemetry,
-            trace,
-            journal,
-            replay,
-        } = self;
-        config.validate();
-        // Validate on the caller's thread: the pipeline re-validates when
-        // it is built, but a panic should name the caller's call site.
-        policy.validate();
-        let models = Arc::new(ModelService::new(initial));
-        let trace_handle = trace_of(&trace);
-        let (bus, rx) = CheckpointBus::bounded_instrumented(
-            config.bus_capacity,
-            telemetry.clone(),
-            trace_handle.clone(),
-        );
-        let class = ServiceClass::default();
-        if let Some(registry) = &telemetry {
-            models.attach_swap_telemetry(registry, &class);
-        }
-        models.attach_trace(trace_handle.clone(), class.as_str());
-        let counters = Arc::new(PipelineCounters::new(config.drift.error_threshold_secs));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        // The pipeline is built here, on the caller's thread, rather than
-        // inside the retrainer: a journal replay must complete before any
-        // live batch can interleave, and doing it synchronously makes the
-        // restored state deterministic and visible when `spawn` returns.
-        let refit_duration = match &telemetry {
-            Some(registry) => registry.histogram_with(
-                "adapt_refit_duration_seconds",
-                "Wall time of each model refit attempt",
-                Unit::Seconds,
-                "class",
-                class.as_str(),
-            ),
-            None => HistogramHandle::disabled(),
-        };
-        let action = InThreadRetrain::new(
-            Arc::clone(&learner),
-            feature_names,
-            config.buffer_capacity,
-            Arc::clone(&models),
-            refit_duration,
-            trace_handle.clone(),
-            class.as_str().to_string(),
-        );
-        let mut pipeline =
-            AdaptationPipeline::with_counters(&config, policy, Arc::clone(&counters), action);
-        if let Some(registry) = &telemetry {
-            pipeline
-                .set_instruments(PipelineInstruments::resolve(registry.as_ref(), class.as_str()));
-        }
-        pipeline.set_trace(trace_handle.clone(), class.as_str());
-
-        let mut replay_baseline = 0;
-        if let Some(journal) = journal {
-            if replay {
-                let outcome = Journal::read(journal.dir())
-                    .expect("journal replay: journal directory unreadable or corrupt mid-log");
-                let (applied, _rows) = crate::replay::replay_class_into(
-                    &outcome.records,
-                    &mut pipeline,
-                    class.as_str(),
-                );
-                // Replayed rows were never enqueued on this bus — remember
-                // how many so `quiesce` compares like with like.
-                replay_baseline = counters.ingested();
-                trace_handle.emit(
-                    EventScope::root().class(class.as_str()),
-                    EventKind::JournalReplayed { records: applied },
-                );
-            }
-            // Attached only after the replay so restored batches are not
-            // journaled a second time.
-            pipeline.set_journal(journal, class.as_str());
-        }
-
-        let digest = Arc::new(Mutex::new(None));
-        let worker = {
-            let stop = Arc::clone(&stop);
-            let digest = Arc::clone(&digest);
-            std::thread::spawn(move || retrainer_loop(pipeline, rx, stop, digest))
-        };
-        AdaptiveService {
-            models,
-            bus,
-            counters,
-            stop,
-            worker: Some(worker),
-            digest,
-            replay_baseline,
-        }
-    }
-}
-
-impl AdaptiveService {
-    /// Starts building a service: `feature_names` are the attribute names
-    /// of the rows producers will publish (the feature set's variables, in
-    /// order); `initial` serves as generation 0 until the first retrain.
-    pub fn builder(
-        learner: Arc<dyn DynLearner>,
-        feature_names: Vec<String>,
-        initial: Arc<dyn Regressor>,
-    ) -> AdaptiveServiceBuilder {
-        AdaptiveServiceBuilder {
-            learner,
-            feature_names,
-            initial,
-            config: AdaptConfig::default(),
-            policy: Arc::new(FixedThresholds),
-            telemetry: None,
-            trace: None,
-            journal: None,
-            replay: false,
-        }
-    }
-
-    /// Spawns the retrainer thread and returns the running service.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate configuration (zero buffer capacity, bad drift
-    /// parameters).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AdaptiveService::builder(learner, feature_names, initial)\
-                .config(config).spawn()"
-    )]
-    pub fn spawn(
-        learner: Arc<dyn DynLearner>,
-        feature_names: Vec<String>,
-        initial: Arc<dyn Regressor>,
-        config: AdaptConfig,
-    ) -> Self {
-        AdaptiveService::builder(learner, feature_names, initial).config(config).spawn()
-    }
-
-    /// The serving side: snapshot/pin models, poll generations, read the
-    /// effective rejuvenation threshold.
-    pub fn model_service(&self) -> &ModelService {
-        &self.models
-    }
-
-    /// A shared handle to the serving side (for consumers that outlive the
-    /// service's borrow).
-    pub fn model_service_arc(&self) -> Arc<ModelService> {
-        Arc::clone(&self.models)
-    }
-
-    /// A producer handle on the ingestion bus (clone freely).
-    pub fn bus(&self) -> CheckpointBus {
-        self.bus.clone()
-    }
-
-    /// Current counters; safe to call at any time.
-    pub fn stats(&self) -> AdaptationStats {
-        AdaptationStats::from_counters(
-            &self.counters,
-            self.models.generation(),
-            self.bus.dropped_checkpoints(),
-        )
-    }
-
-    /// Waits for the retrainer to drain the bus: blocks until every
-    /// checkpoint published *before* this call has been ingested or shed
-    /// by the bounded ring (bounded by `timeout`). Returns `true` when the
-    /// bus drained in time.
-    ///
-    /// Because the pipeline counts a batch as ingested only *after* its
-    /// retrain gate ran, a `true` return also means every retrain those
-    /// checkpoints triggered has completed and published.
-    ///
-    /// Only meant for deterministic tests and examples — production
-    /// callers never need to wait on the learning side.
-    pub fn quiesce(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            // Shed checkpoints will never be ingested; the ring keeps
-            // counting them, so re-resolve the target every pass. `dropped`
-            // is read BEFORE `enqueued` so a drop racing in between makes
-            // the target conservative (wait longer), never premature.
-            let dropped = self.bus.dropped_checkpoints();
-            let target = self.bus.enqueued_checkpoints().saturating_sub(dropped);
-            // Journal-replayed rows count as ingested but never crossed
-            // the bus; subtract them or a restored service would declare
-            // the bus drained before touching a single live batch.
-            if self.counters.ingested().saturating_sub(self.replay_baseline) >= target {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Stops the retrainer, joins it and returns the final stats.
-    ///
-    /// Every batch queued on the bus before the call is still ingested
-    /// before the retrainer exits; batches published afterwards (by
-    /// surviving producer clones) go nowhere, which those producers see as
-    /// `publish` returning `false`.
-    pub fn shutdown(mut self) -> AdaptationStats {
-        self.join_worker()
-    }
-
-    /// [`shutdown`](AdaptiveService::shutdown), plus the retrainer's final
-    /// [`state digest`](AdaptiveService::state_digest) — which only exists
-    /// once the retrainer has exited, i.e. exactly when `self` is gone.
-    pub fn shutdown_with_digest(mut self) -> (AdaptationStats, Option<u64>) {
-        let stats = self.join_worker();
-        let digest = self.state_digest();
-        (stats, digest)
-    }
-
-    /// The retrainer's final pipeline state digest — generation, buffered
-    /// rows (bit patterns included) and effective thresholds folded into
-    /// one `u64`. `None` while the retrainer is still running; `Some`
-    /// after [`shutdown`](AdaptiveService::shutdown) (or any join). Two
-    /// runs that report equal digests ended in bit-identical adaptation
-    /// state, which is how the crash-recovery tests assert that a journal
-    /// replay restored a run exactly.
-    pub fn state_digest(&self) -> Option<u64> {
-        *self.digest.lock().expect("state digest slot poisoned")
-    }
-
-    fn join_worker(&mut self) -> AdaptationStats {
-        self.stop.store(true, Ordering::Release);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-        self.stats()
-    }
-}
-
-impl Drop for AdaptiveService {
-    fn drop(&mut self) {
-        if self.worker.is_some() {
-            self.join_worker();
-        }
-    }
-}
-
-fn retrainer_loop(
-    mut pipeline: AdaptationPipeline<InThreadRetrain>,
-    rx: BusReceiver,
-    stop: Arc<AtomicBool>,
-    digest: Arc<Mutex<Option<u64>>>,
-) {
-    loop {
-        if stop.load(Ordering::Acquire) {
-            // Shutdown: drain whatever was queued before the flag, then
-            // exit — queued work is never thrown away.
-            for batch in rx.drain() {
-                pipeline.ingest(batch.checkpoints);
-            }
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(Some(batch)) => pipeline.ingest(batch.checkpoints),
-            Ok(None) => {}
-            // All producers hung up and the queue is drained.
-            Err(crate::BusDisconnected) => break,
-        }
-    }
-    // Published after the last ingest so recovery tests can compare a
-    // live run's end state against a journal replay, bit for bit.
-    *digest.lock().expect("state digest slot poisoned") = Some(pipeline.state_digest());
 }
 
 #[cfg(test)]

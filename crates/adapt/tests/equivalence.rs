@@ -1,30 +1,47 @@
-//! Bit-identical equivalence of the two retrainers on the unified
-//! [`aging_adapt::AdaptationPipeline`].
+//! The live retrainer against its offline reference, bit for bit.
 //!
-//! `AdaptiveService` (synchronous in-thread fit) and a single-class
-//! `AdaptiveRouter` (pooled async refit) used to be two hand-maintained
-//! copies of the same state machine; now they are two [`RetrainAction`]s
-//! behind one pipeline. This suite pins the claim that the unification
-//! changed **nothing observable** under the [`FixedThresholds`] policy:
-//! fed the same batch sequence (paced so the pooled path never defers on
-//! an in-flight job), both must count the same drift events, run the same
-//! retrains at the same points, publish the same generations, and — since
-//! both fit the same learner on the same sliding window — serve models
-//! with **bit-identical** predictions.
+//! The one live retrainer is a per-class [`AdaptiveRouter`] (pooled
+//! asynchronous refit); the reference is [`replay`] of the router's own
+//! journal (synchronous in-thread refit) — the path crash recovery and
+//! policy search trust. Both drive the same
+//! [`aging_adapt::AdaptationPipeline`]. This suite pins the claim that,
+//! under the [`aging_adapt::FixedThresholds`] policy and paced input
+//! (every refit lands before the next batch arrives), the two are
+//! indistinguishable: after every batch, a replay of the journal so far
+//! counts the same drift events and retrains, sits on the same generation
+//! with the same buffered rows, and reports the same state digest — the
+//! generation, the sliding window row for row and the thresholds.
 //!
-//! The deprecated `spawn` constructors are also exercised (under
-//! `#[allow(deprecated)]`) to prove the migration shims are
-//! behaviour-preserving, not just compiling.
+//! A router publishes its digest when its ingest thread exits, so each
+//! batch count `n` is its own live run over the first `n` batches.
 
+use aging_adapt::replay::replay;
 use aging_adapt::{
-    AdaptConfig, AdaptiveRouter, AdaptiveService, CheckpointBatch, ClassSpec, DriftConfig,
+    AdaptConfig, AdaptationStats, AdaptiveRouter, CheckpointBatch, ClassSpec, DriftConfig,
     LabelledCheckpoint, RouterConfig, ServiceClass, DEFAULT_BUS_CAPACITY,
 };
 use aging_dataset::Dataset;
+use aging_journal::Journal;
 use aging_ml::linreg::LinRegLearner;
 use aging_ml::{DynLearner, Learner, Regressor};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+const BATCHES: usize = 12;
+const BATCH_ROWS: usize = 24;
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    static N: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "aging-equivalence-{}-{tag}-{}",
+        std::process::id(),
+        N.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 fn initial_model(slope: f64) -> Arc<dyn Regressor> {
     let mut ds = Dataset::new(vec!["x".into()], "y");
@@ -62,84 +79,87 @@ fn config(drift_enabled: bool, retrain_every: Option<usize>) -> AdaptConfig {
     builder.build()
 }
 
-fn batch(class: &ServiceClass, seq: usize, n: usize, truth: fn(f64) -> f64) -> CheckpointBatch {
-    // The stale initial model is y = 2x; predictions are labelled with it
-    // so both consumers see identical error streams.
+fn spec(drift_enabled: bool, retrain_every: Option<usize>) -> ClassSpec {
+    ClassSpec::builder(learner(), initial_model(2.0))
+        .config(config(drift_enabled, retrain_every))
+        .build()
+}
+
+fn batch(class: &ServiceClass, seq: usize, truth: fn(f64) -> f64) -> CheckpointBatch {
+    // The stale initial model is y = 2x; predictions are labelled with it,
+    // so the live run and the replay see identical error streams.
     CheckpointBatch {
         source: "equiv".into(),
         class: class.clone(),
-        checkpoints: (0..n)
+        checkpoints: (0..BATCH_ROWS)
             .map(|i| {
-                let x = (seq * n + i) as f64 * 0.4;
+                let x = (seq * BATCH_ROWS + i) as f64 * 0.4;
                 LabelledCheckpoint::new(vec![x], truth(x), Some(2.0 * x))
             })
             .collect(),
     }
 }
 
-/// Drives the same batch sequence through a service and a single-class
-/// router, quiescing after every publish so the pooled path is never
-/// mid-refit at a trigger (the one legitimate timing difference), then
-/// asserts counter and model equivalence.
+/// Live side: a one-class journalled router fed the first `n` batches,
+/// quiescing after each so the pooled refit is never mid-flight at a
+/// trigger (the one legitimate timing difference from the synchronous
+/// reference). Returns the class's final counters and state digest.
+fn live_run(
+    dir: &Path,
+    class: &ServiceClass,
+    n: usize,
+    drift_enabled: bool,
+    retrain_every: Option<usize>,
+    truth: fn(f64) -> f64,
+) -> (AdaptationStats, u64) {
+    let journal = Arc::new(Journal::open(dir).unwrap());
+    let router = AdaptiveRouter::builder(vec!["x".into()])
+        .class(class.clone(), spec(drift_enabled, retrain_every))
+        .config(RouterConfig::builder().retrainer_threads(1).build())
+        .journal(Arc::clone(&journal))
+        .spawn();
+    let bus = router.bus();
+    for seq in 0..n {
+        assert!(bus.publish(batch(class, seq, truth)));
+        assert!(router.quiesce(Duration::from_secs(30)), "batch {seq}: router must settle");
+    }
+    journal.sync().unwrap();
+    let (stats, digests) = router.shutdown_with_digests();
+    assert_eq!(stats.journal_errors, 0, "the live run must journal cleanly");
+    let stats = *stats.class(class).expect("registered");
+    let digests = digests.expect("the ingest thread publishes digests at exit");
+    let digest = digests.iter().find(|(c, _)| c == class).map(|(_, d)| *d).expect("digested");
+    (stats, digest)
+}
+
+/// After every batch count, the live router and the replay of its journal
+/// agree on drift events, retrains, generation, buffered rows and digest.
 fn assert_equivalent(drift_enabled: bool, retrain_every: Option<usize>, truth: fn(f64) -> f64) {
     let class = ServiceClass::new("only");
-    let service = AdaptiveService::builder(learner(), vec!["x".into()], initial_model(2.0))
-        .config(config(drift_enabled, retrain_every))
-        .spawn();
-    let router = AdaptiveRouter::builder(vec!["x".into()])
-        .class(
-            class.clone(),
-            ClassSpec::builder(learner(), initial_model(2.0))
-                .config(config(drift_enabled, retrain_every))
-                .build(),
+    let mut last = None;
+    for n in 1..=BATCHES {
+        let dir = tmp_dir("prefix");
+        let (live, digest) = live_run(&dir, &class, n, drift_enabled, retrain_every, truth);
+        let outcome = replay(
+            &dir,
+            vec!["x".into()],
+            vec![(class.clone(), spec(drift_enabled, retrain_every))],
         )
-        .spawn();
-
-    let (service_bus, router_bus) = (service.bus(), router.bus());
-    for seq in 0..12 {
-        let b = batch(&class, seq, 24, truth);
-        assert!(service_bus.publish(b.clone()));
-        assert!(router_bus.publish(b));
-        // Lock-step pacing: both sides settle before the next batch, so
-        // the async pool can never skip a trigger the sync path takes.
-        assert!(service.quiesce(Duration::from_secs(30)), "service must settle");
-        assert!(router.quiesce(Duration::from_secs(30)), "router must settle");
-
-        let s = service.stats();
-        let r = router.stats();
-        let rc = r.class(&class).expect("registered");
-        assert_eq!(s.drift_events, rc.drift_events, "batch {seq}: drift events diverged");
-        assert_eq!(s.retrains, rc.retrains, "batch {seq}: retrains diverged");
-        assert_eq!(
-            s.generations_published, rc.generations_published,
-            "batch {seq}: generations diverged"
-        );
-        assert_eq!(s.ingested_checkpoints, rc.ingested_checkpoints, "batch {seq}");
-        assert_eq!(s.buffered, rc.buffered, "batch {seq}: sliding windows diverged");
-        assert_eq!(s.failed_retrains, rc.failed_retrains, "batch {seq}");
-
-        // Same learner, same sliding window ⇒ bit-identical models.
-        let sm = service.model_service().snapshot();
-        let rm = router.model_service(&class).expect("registered").snapshot();
-        assert_eq!(sm.generation, rm.generation, "batch {seq}");
-        for probe in [0.0, 7.5, 40.0, 123.0] {
-            assert_eq!(
-                sm.model.predict(&[probe]).to_bits(),
-                rm.model.predict(&[probe]).to_bits(),
-                "batch {seq}: generation {} models diverged at x = {probe}",
-                sm.generation
-            );
-        }
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(outcome.rows, (n * BATCH_ROWS) as u64, "after {n} batches: journalled rows");
+        let replayed = &outcome.classes[0];
+        assert_eq!(live.drift_events, replayed.drift_events, "after {n} batches: drift events");
+        assert_eq!(live.retrains, replayed.retrains, "after {n} batches: retrains");
+        assert_eq!(live.generation, replayed.generation, "after {n} batches: generation");
+        assert_eq!(live.buffered, replayed.buffered, "after {n} batches: sliding window");
+        assert_eq!(digest, replayed.digest, "after {n} batches: state digest");
+        last = Some(live);
     }
-
-    let final_service = service.shutdown();
-    let final_router = router.shutdown();
-    let final_class = final_router.class(&class).expect("registered");
-    assert_eq!(final_service.retrains, final_class.retrains);
-    assert_eq!(final_service.generations_published, final_class.generations_published);
+    let last = last.expect("at least one batch");
     assert!(
-        (!drift_enabled && retrain_every.is_none()) || final_service.generations_published >= 1,
-        "the scenario must actually exercise retraining: {final_service:?}"
+        (!drift_enabled && retrain_every.is_none()) || last.generations_published >= 1,
+        "the scenario must actually exercise retraining: {last:?}"
     );
 }
 
@@ -147,81 +167,38 @@ fn assert_equivalent(drift_enabled: bool, retrain_every: Option<usize>, truth: f
 /// y = 600 − 3x) drives drift events and drift-gated retrains through
 /// both actions identically.
 #[test]
-fn drift_triggered_paths_are_bit_identical() {
+fn drift_triggered_router_matches_replay() {
     assert_equivalent(true, None, |x| 600.0 - 3.0 * x);
 }
 
 /// Periodic retraining with drift disabled: the schedule alone drives both
 /// actions through the same retrain points.
 #[test]
-fn scheduled_paths_are_bit_identical() {
+fn scheduled_router_matches_replay() {
     assert_equivalent(false, Some(48), |x| 5.0 * x + 50.0);
 }
 
 /// Drift and schedule together, on a stream whose errors stay quiet: only
 /// the schedule fires, identically.
 #[test]
-fn combined_quiet_paths_are_bit_identical() {
+fn combined_quiet_router_matches_replay() {
     assert_equivalent(true, Some(72), |x| 2.0 * x);
 }
 
 /// Fully frozen (drift disabled, no schedule): both stay on generation 0
 /// with identical counters.
 #[test]
-fn frozen_paths_are_bit_identical() {
+fn frozen_router_matches_replay() {
     assert_equivalent(false, None, |x| 600.0 - 3.0 * x);
 }
 
-/// The deprecated constructors delegate to the builders without changing
-/// behaviour: same scenario as the drift-triggered suite, spawned through
-/// the old entry points.
-#[test]
-#[allow(deprecated)]
-fn deprecated_spawn_constructors_still_reproduce_the_builder_paths() {
-    let class = ServiceClass::new("only");
-    let truth: fn(f64) -> f64 = |x| 600.0 - 3.0 * x;
-
-    let via_builder = AdaptiveService::builder(learner(), vec!["x".into()], initial_model(2.0))
-        .config(config(true, None))
-        .spawn();
-    let via_spawn =
-        AdaptiveService::spawn(learner(), vec!["x".into()], initial_model(2.0), config(true, None));
-    let router_via_spawn = AdaptiveRouter::spawn(
-        vec![(
-            class.clone(),
-            ClassSpec::builder(learner(), initial_model(2.0)).config(config(true, None)).build(),
-        )],
-        vec!["x".into()],
-        RouterConfig::default(),
-    );
-
-    for seq in 0..8 {
-        let b = batch(&class, seq, 24, truth);
-        assert!(via_builder.bus().publish(b.clone()));
-        assert!(via_spawn.bus().publish(b.clone()));
-        assert!(router_via_spawn.bus().publish(b));
-        assert!(via_builder.quiesce(Duration::from_secs(30)));
-        assert!(via_spawn.quiesce(Duration::from_secs(30)));
-        assert!(router_via_spawn.quiesce(Duration::from_secs(30)));
-    }
-    let a = via_builder.shutdown();
-    let b = via_spawn.shutdown();
-    let r = router_via_spawn.shutdown();
-    let rc = r.class(&class).expect("registered");
-    assert!(a.retrains >= 1, "the scenario must retrain: {a:?}");
-    assert_eq!(a.retrains, b.retrains);
-    assert_eq!(a.drift_events, b.drift_events);
-    assert_eq!(a.generations_published, b.generations_published);
-    assert_eq!(a.retrains, rc.retrains);
-    assert_eq!(a.drift_events, rc.drift_events);
-}
-
-/// The service path still honours the default bus capacity constant the
-/// old API exposed (a config knob the builder must not have silently
-/// changed).
+/// A router built without a [`RouterConfig`] sizes its shared ring with
+/// the exported default capacity.
 #[test]
 fn default_bus_capacity_is_preserved() {
-    let service = AdaptiveService::builder(learner(), vec!["x".into()], initial_model(1.0)).spawn();
-    assert_eq!(service.bus().capacity(), DEFAULT_BUS_CAPACITY);
-    service.shutdown();
+    let router = AdaptiveRouter::builder(vec!["x".into()])
+        .class(ServiceClass::default(), spec(false, None))
+        .spawn();
+    assert_eq!(router.bus().capacity(), DEFAULT_BUS_CAPACITY);
+    router.shutdown();
 }

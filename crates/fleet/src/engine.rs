@@ -14,9 +14,7 @@ use crate::scheduler::{run_elastic, ElasticArgs, SchedulerConfig};
 use crate::shard::{Shard, ShardInstruments};
 use crate::step::EpochStep;
 use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator};
-use aging_adapt::{
-    AdaptiveRouter, AdaptiveService, CheckpointBus, ClassSpec, ModelService, ServiceClass,
-};
+use aging_adapt::{AdaptiveRouter, CheckpointBus, ClassSpec, ModelService, ServiceClass};
 use aging_core::{AgingPredictor, RejuvenationPolicy};
 use aging_journal::{Journal, JournalRecord};
 use aging_ml::Regressor;
@@ -36,17 +34,15 @@ use std::time::{Duration, Instant};
 /// Where the worker threads get their models from.
 ///
 /// A frozen binding serves one `&dyn Regressor` for the whole run (the
-/// original engine behaviour, bit-exact with `evaluate_policy`). An
-/// adaptive binding resolves batched TTF queries through one
-/// [`ModelService`] shared by every class; a routed binding holds one
-/// service **per class** (`services` is indexed by the fleet's class
-/// table). Either way each worker *pins* its model snapshots per epoch —
-/// polling a generation counter costs one atomic load per class — and
-/// re-pins at the next epoch boundary after a publish, so one epoch's
-/// batch is always served by exactly one generation per class.
+/// original engine behaviour, bit-exact with `evaluate_policy`). A routed
+/// binding holds one [`ModelService`] **per class** (indexed by the
+/// fleet's class table). Live bindings have each worker *pin* its model
+/// snapshots per epoch — polling a generation counter costs one atomic
+/// load per class — and re-pin at the next epoch boundary after a
+/// publish, so one epoch's batch is always served by exactly one
+/// generation per class.
 pub(crate) enum ModelBinding<'a> {
     Frozen(&'a dyn Regressor),
-    Adaptive(&'a ModelService),
     Routed(Vec<Arc<ModelService>>),
     /// Class-discovery runs: the class table grows mid-run, so workers
     /// sync their pins from the shared runtime at epoch boundaries.
@@ -97,6 +93,13 @@ impl DiscoveryInstruments {
     }
 }
 
+/// Test seam: makes the barrier leader's discovery step panic once it
+/// has completed this many epochs, exercising the catch-unwind +
+/// flight-recorder dump path in the single-threaded window. `u64::MAX`
+/// disables it.
+#[cfg(test)]
+pub(crate) static DISCOVERY_PANIC_AT: AtomicU64 = AtomicU64::new(u64::MAX);
+
 /// Shared coordination state of a [`Fleet::run_discovered`] run.
 ///
 /// Workers write instance signatures before the epoch barrier; the
@@ -105,13 +108,6 @@ impl DiscoveryInstruments {
 /// publishes the new assignment through `version`; every worker applies
 /// it at the top of the next epoch — so an instance's class, like its
 /// model snapshot, is pinned within an epoch.
-/// Test seam: makes the barrier leader's discovery step panic once it
-/// has completed this many epochs, exercising the catch-unwind +
-/// flight-recorder dump path in the single-threaded window. `u64::MAX`
-/// disables it.
-#[cfg(test)]
-pub(crate) static DISCOVERY_PANIC_AT: AtomicU64 = AtomicU64::new(u64::MAX);
-
 pub(crate) struct DiscoveryRuntime<'a> {
     router: &'a AdaptiveRouter,
     pub(crate) setup: &'a DiscoverySetup,
@@ -422,10 +418,11 @@ pub(crate) fn make_instance(
 /// epochs of 15-second checkpoints, batching each shard's TTF inferences
 /// through [`Regressor::predict_matrix`] over flat reusable
 /// [`aging_ml::FeatureMatrix`]es (one per service class).
-/// [`Fleet::run_adaptive`] runs the same loop against an
-/// [`AdaptiveService`]; [`Fleet::run_routed`] runs it against an
+/// [`Fleet::run_routed`] runs the same loop against a live
 /// [`AdaptiveRouter`], giving every [`ServiceClass`] its own adapting
-/// model.
+/// model — a router with one class adapts a homogeneous fleet — and
+/// [`Fleet::run_discovered`] lets the classes emerge from the fleet's own
+/// aging signatures.
 #[derive(Debug)]
 pub struct Fleet {
     specs: Vec<InstanceSpec>,
@@ -470,9 +467,8 @@ impl Fleet {
     /// Attaches a telemetry registry: epoch-phase and barrier-wait timings
     /// land in it per shard, discovery instrumentation per evaluation, and
     /// the final [`FleetReport::telemetry`] carries its snapshot. Pass the
-    /// *same* registry to the adaptation side's builders
-    /// ([`aging_adapt::AdaptiveServiceBuilder::telemetry`],
-    /// [`aging_adapt::AdaptiveRouterBuilder::telemetry`]) to get one
+    /// *same* registry to the router
+    /// ([`aging_adapt::AdaptiveRouterBuilder::telemetry`]) to get one
     /// unified snapshot; discovered runs wire their internal router
     /// automatically. Without this call the fleet pays one untaken branch
     /// per phase — never a clock read per checkpoint.
@@ -485,9 +481,8 @@ impl Fleet {
     /// Attaches a causal trace sink: per-shard model-swap events and the
     /// leader's epoch marks land in `recorder`, and a worker panic dumps
     /// the recorder's ring to stderr as JSONL before the payload is
-    /// rethrown. Pass the *same* recorder to the adaptation side's
-    /// builders ([`aging_adapt::AdaptiveServiceBuilder::trace`],
-    /// [`aging_adapt::AdaptiveRouterBuilder::trace`]) to get one unified
+    /// rethrown. Pass the *same* recorder to the router
+    /// ([`aging_adapt::AdaptiveRouterBuilder::trace`]) to get one unified
     /// causal stream — drift → trigger → refit → publish → swap all in
     /// one [`aging_obs::Trace`]; discovered runs wire their internal
     /// router automatically. Without this call no event is built and no
@@ -504,11 +499,10 @@ impl Fleet {
     /// additionally record a [`JournalRecord::PartitionAssigned`] entry
     /// at each discovery boundary, so a replay can restore both the
     /// learned state and the discovered partition. For
-    /// [`Fleet::run_adaptive`]/[`Fleet::run_routed`], attach the journal
-    /// to the externally built service/router instead
-    /// ([`aging_adapt::AdaptiveServiceBuilder::journal`],
-    /// [`aging_adapt::AdaptiveRouterBuilder::journal`]) and pass the same
-    /// handle here so [`FleetReport::journal`] carries its counters.
+    /// [`Fleet::run_routed`], attach the journal to the externally built
+    /// router instead ([`aging_adapt::AdaptiveRouterBuilder::journal`])
+    /// and pass the same handle here so [`FleetReport::journal`] carries
+    /// its counters.
     #[must_use]
     pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
         self.journal = Some(journal);
@@ -644,54 +638,29 @@ impl Fleet {
         self.run_bound(ModelBinding::Frozen(model), features, None)
     }
 
-    /// Operates the fleet against a live [`AdaptiveService`]: shards
-    /// resolve their batched TTF queries through the service's current
-    /// model generation (pinned per epoch) and stream labelled crash
-    /// epochs onto its [`CheckpointBus`], so the service retrains and
-    /// publishes new generations *while the fleet keeps running* — worker
-    /// threads never pause for training. Every class of the fleet is
-    /// served by the one service (use [`Fleet::run_routed`] for per-class
-    /// models).
-    ///
-    /// With drift triggering disabled ([`aging_adapt::DriftConfig`]
-    /// `enabled: false` and no periodic schedule) the service never leaves
-    /// generation 0 and this is outcome-identical to [`Fleet::run`] on the
-    /// initial model.
-    ///
-    /// The returned report carries [`aging_adapt::AdaptationStats`]
-    /// snapshotted at the end of the run. Because retraining proceeds
-    /// concurrently with epoch processing, adaptive outcomes are *not*
-    /// bit-deterministic across runs — which epoch first sees a new
-    /// generation depends on thread scheduling. (For the same reason,
-    /// drift-*enabled* runs are not comparable checkpoint-for-checkpoint
-    /// across versions either: the labelled stream now also carries one
-    /// monitor-only counterfactual observation per proactive restart,
-    /// which feeds drift detection — deliberately, so an adapted fleet
-    /// whose crashes have become rare keeps its detection and
-    /// self-tuning alive. The bit-exact guarantees are the drift-DISABLED
-    /// identities asserted by the integration tests, which are
-    /// unaffected.)
-    pub fn run_adaptive(self, service: &AdaptiveService, features: &FeatureSet) -> FleetReport {
-        let mut report = self.run_bound(
-            ModelBinding::Adaptive(service.model_service()),
-            features,
-            Some(service.bus()),
-        );
-        report.adaptation = Some(service.stats());
-        report
-    }
-
-    /// Operates a heterogeneous fleet against an [`AdaptiveRouter`]: every
+    /// Operates the fleet against a live [`AdaptiveRouter`]: every
     /// instance's TTF queries resolve through **its class's** model
     /// service (pinned per worker epoch, re-pinned on generation change),
     /// and labelled crash epochs stream onto the router's bounded bus
     /// tagged with their class — so a workload shift in one class retrains
-    /// that class's model while every other class keeps its own.
+    /// that class's model while every other class keeps its own, and the
+    /// retraining never pauses the worker threads. A homogeneous fleet
+    /// runs against a router with the one class its specs name.
+    ///
+    /// With drift triggering disabled ([`aging_adapt::DriftConfig`]
+    /// `enabled: false` and no periodic schedule) no class leaves
+    /// generation 0, and a one-class run is outcome-identical to
+    /// [`Fleet::run`] on the initial model. With adaptation live, outcomes
+    /// are *not* bit-deterministic across runs: which epoch first sees a
+    /// new generation depends on thread scheduling. The labelled stream
+    /// also carries one monitor-only counterfactual observation per
+    /// proactive restart, which feeds drift detection — deliberately, so
+    /// an adapted fleet whose crashes have become rare keeps its
+    /// detection and self-tuning alive.
     ///
     /// The report carries the router's per-class
-    /// [`aging_adapt::RouterStats`] (and the aggregate in
-    /// `report.adaptation` is left `None` — classes don't share counters).
-    /// The stats are snapshotted the moment the run returns, while the
+    /// [`aging_adapt::RouterStats`] in [`FleetReport::routing`]. The
+    /// stats are snapshotted the moment the run returns, while the
     /// router may still be draining the last epochs' batches and fitting
     /// their refits; callers that need settled numbers should
     /// [`AdaptiveRouter::quiesce`] and re-read `router.stats()` (and may
@@ -948,7 +917,6 @@ impl Fleet {
             }
             None => CounterHandle::disabled(),
         };
-        let default_class = ServiceClass::default();
         let started = Instant::now();
         let binding = &binding;
         let classes = &classes[..];
@@ -962,7 +930,6 @@ impl Fleet {
                 shards: &mut shards,
                 binding,
                 classes,
-                default_class: &default_class,
                 config: &config,
                 features,
                 churn: churn.as_ref(),
@@ -1033,7 +1000,6 @@ impl Fleet {
                         let live = &live;
                         let panicked = &panicked;
                         let trace_recorder = trace.as_deref();
-                        let default_class = &default_class;
                         let config = &config;
                         let barrier_wait = barrier_waits[shard_idx].clone();
                         let leader_hist = leader_hist.clone();
@@ -1041,12 +1007,11 @@ impl Fleet {
                         let trace_handle = trace_handle.clone();
                         scope.spawn(move || {
                             let mut step =
-                                EpochStep::new(binding, n_classes, shard_idx, trace_handle.clone());
+                                EpochStep::new(binding, classes, shard_idx, trace_handle.clone());
                             let mut epoch = 0u64;
                             loop {
                                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    step.run(shard, binding, classes, default_class, config, epoch)
-                                        as u64
+                                    step.run(shard, binding, config, epoch) as u64
                                 }));
                                 let shard_live = match &outcome {
                                     Ok(n) => *n,

@@ -32,21 +32,18 @@
 //!
 //! # Adaptation
 //!
-//! [`Fleet::run_adaptive`] connects the same epoch loop to an
-//! [`aging_adapt::AdaptiveService`]: completed crash epochs are labelled
-//! retrospectively and streamed onto the service's checkpoint bus, the
-//! service retrains on drift and publishes new model generations, and
-//! every worker re-pins its model snapshot at the next epoch boundary —
-//! retraining never pauses the pool. A fleet-level [`WorkloadShift`] can
-//! move instances to a different scenario mid-run to exercise exactly the
-//! dynamic-workload regime the paper's adaptive claim is about.
-//!
-//! Heterogeneous fleets go through [`Fleet::run_routed`] instead: specs
-//! carry a [`ServiceClass`], shards keep one batch matrix per class and
-//! tag outgoing checkpoints with it, and an
-//! [`aging_adapt::AdaptiveRouter`] serves/retrains one model per class
-//! over a shared retrainer pool — a workload shift in one class adapts
-//! that class alone.
+//! [`Fleet::run_routed`] connects the same epoch loop to an
+//! [`aging_adapt::AdaptiveRouter`]: specs carry a [`ServiceClass`], shards
+//! keep one batch matrix per class, completed crash epochs are labelled
+//! retrospectively and streamed onto the router's checkpoint bus tagged
+//! with their class, the router retrains each class on drift over a
+//! shared retrainer pool and publishes new model generations, and every
+//! worker re-pins its per-class snapshots at the next epoch boundary —
+//! retraining never pauses the pool, and a workload shift in one class
+//! adapts that class alone. A homogeneous fleet runs against a router
+//! with one class. A fleet-level [`WorkloadShift`] can move instances to
+//! a different scenario mid-run to exercise exactly the dynamic-workload
+//! regime the paper's adaptive claim is about.
 //!
 //! # Elasticity
 //!

@@ -195,12 +195,13 @@ pub struct FleetTiming {
 
 /// Aggregated outcome of a fleet run.
 ///
-/// `PartialEq` deliberately ignores [`FleetReport::timing`] and
-/// [`FleetReport::adaptation`]: equality means "the same simulated
+/// `PartialEq` deliberately ignores [`FleetReport::timing`] and the
+/// runtime counters ([`FleetReport::routing`] and the other `Option`
+/// sections except `churn`): equality means "the same simulated
 /// outcome", which is what the determinism guarantee (same specs, seeds
-/// and config ⇒ same report) is about — wall-clock speed and the
-/// adaptation service's concurrent counters both legitimately vary between
-/// otherwise identical runs.
+/// and config ⇒ same report) is about — wall-clock speed and the router's
+/// concurrent counters both legitimately vary between otherwise identical
+/// runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Per-instance outcomes, in spec order.
@@ -230,9 +231,6 @@ pub struct FleetReport {
     pub mean_ttf_error_secs: f64,
     /// Labelled predictions behind `mean_ttf_error_secs`.
     pub ttf_error_count: u64,
-    /// Adaptation-service counters for [`crate::Fleet::run_adaptive`] runs
-    /// (`None` for frozen-model runs; excluded from equality).
-    pub adaptation: Option<AdaptationStats>,
     /// Per-class router counters for [`crate::Fleet::run_routed`] and
     /// [`crate::Fleet::run_discovered`] runs (`None` otherwise; excluded
     /// from equality).
@@ -325,7 +323,6 @@ impl FleetReport {
                 0.0
             },
             ttf_error_count,
-            adaptation: None,
             routing: None,
             discovery: None,
             instances,
@@ -385,7 +382,7 @@ impl FleetReport {
         ))
     }
 
-    /// Serializes the report (including adaptation stats, when present) as
+    /// Serializes the report (including router stats, when present) as
     /// pretty-printed JSON — the machine-readable `BENCH_*.json` format of
     /// the fleet benches and examples.
     ///
@@ -452,20 +449,6 @@ impl fmt::Display for FleetReport {
             "  TTF error          {:.0} s mean abs over {} labelled predictions",
             self.mean_ttf_error_secs, self.ttf_error_count
         )?;
-        if let Some(adaptation) = &self.adaptation {
-            writeln!(
-                f,
-                "  adaptation         gen {}  retrains {}  drift events {}  \
-                 ingested {}  dropped {}  error EWMA {}{}",
-                adaptation.generation,
-                adaptation.retrains,
-                adaptation.drift_events,
-                adaptation.ingested_checkpoints,
-                adaptation.dropped_checkpoints,
-                fmt_ewma(adaptation.error_ewma_secs),
-                effective_thresholds(adaptation)
-            )?;
-        }
         if let Some(routing) = &self.routing {
             writeln!(
                 f,

@@ -90,7 +90,6 @@ pub(crate) struct ElasticArgs<'a, 'b> {
     pub(crate) shards: &'a mut [Shard],
     pub(crate) binding: &'a ModelBinding<'b>,
     pub(crate) classes: &'a [ServiceClass],
-    pub(crate) default_class: &'a ServiceClass,
     pub(crate) config: &'a FleetConfig,
     pub(crate) features: &'a FeatureSet,
     pub(crate) churn: Option<&'a ChurnPlan>,
@@ -295,7 +294,6 @@ struct Ctx<'a, 'b> {
     slots: Vec<Mutex<ShardSlot<'a>>>,
     binding: &'a ModelBinding<'b>,
     classes: &'a [ServiceClass],
-    default_class: &'a ServiceClass,
     config: &'a FleetConfig,
     features: &'a FeatureSet,
     journal: Option<&'a Journal>,
@@ -477,14 +475,13 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
             .map(|(idx, shard)| {
                 Mutex::new(ShardSlot {
                     shard,
-                    step: EpochStep::new(args.binding, args.classes.len(), idx, args.trace.clone()),
+                    step: EpochStep::new(args.binding, args.classes, idx, args.trace.clone()),
                     last_event: None,
                 })
             })
             .collect(),
         binding: args.binding,
         classes: args.classes,
-        default_class: args.default_class,
         config: args.config,
         features: args.features,
         journal: args.journal,
@@ -617,8 +614,7 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         if s == 0 && epoch == SCHEDULER_PANIC_AT.load(Ordering::Relaxed) {
             panic!("synthetic scheduler panic on shard {s} at epoch {epoch}");
         }
-        slot.step.run(slot.shard, ctx.binding, ctx.classes, ctx.default_class, ctx.config, epoch)
-            as u64
+        slot.step.run(slot.shard, ctx.binding, ctx.config, epoch) as u64
     }));
     let live_after = match &outcome {
         Ok(n) => *n,

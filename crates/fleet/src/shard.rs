@@ -14,29 +14,24 @@ use aging_obs::{HistogramHandle, Recorder, Registry, Unit};
 /// to the generation that made it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EpochModels<'a> {
-    /// Frozen and single-service adaptive runs: one model (and one
-    /// generation — 0 for frozen runs) for all classes.
-    Uniform {
-        /// The model every class serves from this epoch.
-        model: &'a dyn Regressor,
-        /// Its generation (the pinned snapshot's for adaptive runs).
-        generation: u64,
-    },
-    /// Routed runs: the worker's pins, indexed by fleet class.
+    /// Frozen runs: one model, generation 0, for every class.
+    Frozen(&'a dyn Regressor),
+    /// Routed and discovered runs: the worker's pins, indexed by fleet
+    /// class.
     PerClass(&'a [ModelSnapshot]),
 }
 
 impl EpochModels<'_> {
     fn class(&self, class_idx: usize) -> &dyn Regressor {
         match self {
-            EpochModels::Uniform { model, .. } => *model,
+            EpochModels::Frozen(model) => *model,
             EpochModels::PerClass(pins) => pins[class_idx].model.as_ref(),
         }
     }
 
     fn generation(&self, class_idx: usize) -> u64 {
         match self {
-            EpochModels::Uniform { generation, .. } => *generation,
+            EpochModels::Frozen(_) => 0,
             EpochModels::PerClass(pins) => pins[class_idx].generation,
         }
     }

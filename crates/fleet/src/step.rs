@@ -24,13 +24,14 @@ use std::sync::Arc;
 /// One shard worker's per-epoch state and the epoch driver itself.
 pub(crate) struct EpochStep {
     shard_idx: usize,
-    /// Adaptive/routed/discovered runs pin one model snapshot per class
-    /// per epoch: pins refresh at epoch boundaries only, and only when
-    /// the generation counter moved, so a publish mid-epoch never splits
-    /// a batch across two models.
+    /// Live runs pin one model snapshot per class per epoch: pins refresh
+    /// at epoch boundaries only, and only when the generation counter
+    /// moved, so a publish mid-epoch never splits a batch across two
+    /// models. Empty for frozen runs.
     pins: Vec<ModelSnapshot>,
-    /// Discovered runs: this worker's view of the class table, re-synced
-    /// when the runtime version moves.
+    /// The class table this worker serves from, aligned with `pins`:
+    /// seeded from the routed or discovered table at construction, and
+    /// grown when a discovered run's runtime version moves.
     services: Vec<Arc<ModelService>>,
     /// Class names aligned with `services`/`pins` — the labels this
     /// shard's swap-apply events carry.
@@ -48,20 +49,16 @@ pub(crate) struct EpochStep {
 impl EpochStep {
     pub(crate) fn new(
         binding: &ModelBinding<'_>,
-        n_classes: usize,
+        classes: &[ServiceClass],
         shard_idx: usize,
         trace: TraceHandle,
     ) -> Self {
-        let (pins, services, class_names) = match binding {
-            ModelBinding::Frozen(_) => (Vec::new(), Vec::new(), Vec::new()),
-            ModelBinding::Adaptive(service) => (vec![service.snapshot()], Vec::new(), Vec::new()),
-            ModelBinding::Routed(services) => {
-                (services.iter().map(|s| s.snapshot()).collect(), Vec::new(), Vec::new())
-            }
+        let (services, class_names) = match binding {
+            ModelBinding::Frozen(_) => (Vec::new(), Vec::new()),
+            ModelBinding::Routed(services) => (services.clone(), classes.to_vec()),
             ModelBinding::Discovered(runtime) => {
                 let table = runtime.classes.read().expect("class table poisoned");
                 (
-                    table.iter().map(|(_, s)| s.snapshot()).collect(),
                     table.iter().map(|(_, s)| Arc::clone(s)).collect(),
                     table.iter().map(|(name, _)| name.clone()).collect(),
                 )
@@ -69,101 +66,59 @@ impl EpochStep {
         };
         EpochStep {
             shard_idx,
-            pins,
+            pins: services.iter().map(|s| s.snapshot()).collect(),
             services,
             class_names,
             seen_version: 0,
-            thresholds: vec![None; n_classes],
+            thresholds: vec![None; classes.len()],
             trace,
         }
     }
 
-    /// Epoch-boundary refresh: re-pin moved model generations (emitting
-    /// the skipped-generation swap events), re-read threshold overrides,
-    /// and — for discovered runs — apply the leader's latest partition to
-    /// this shard's instances.
-    fn refresh(
-        &mut self,
-        shard: &mut Shard,
-        binding: &ModelBinding<'_>,
-        classes: &[ServiceClass],
-        default_class: &ServiceClass,
-    ) {
+    /// Epoch-boundary refresh: for discovered runs, apply the leader's
+    /// latest partition to this shard's instances; then re-pin moved
+    /// model generations (emitting the skipped-generation swap events)
+    /// and re-read threshold overrides.
+    fn refresh(&mut self, shard: &mut Shard, binding: &ModelBinding<'_>) {
+        if let ModelBinding::Discovered(runtime) = binding {
+            // Apply the leader's latest partition — new classes,
+            // retirements, re-routed instances — exactly at this epoch
+            // boundary.
+            let version = runtime.version.load(Ordering::Acquire);
+            if version != self.seen_version {
+                self.seen_version = version;
+                let table = runtime.classes.read().expect("class table poisoned");
+                for (orig, instance) in shard.instances.iter_mut() {
+                    let id = runtime.assignment[*orig].load(Ordering::Relaxed);
+                    instance.set_class(id, table[id].0.clone());
+                }
+                while self.services.len() < table.len() {
+                    let (name, service) = &table[self.services.len()];
+                    self.pins.push(service.snapshot());
+                    self.class_names.push(name.clone());
+                    self.services.push(Arc::clone(service));
+                }
+                drop(table);
+                shard.ensure_classes(self.services.len());
+                self.thresholds.resize(self.services.len(), None);
+            }
+        }
         let shard_idx = self.shard_idx as u32;
-        match binding {
-            ModelBinding::Frozen(_) => {}
-            ModelBinding::Adaptive(service) => {
-                let before = self.pins[0].generation;
-                if service.refresh(&mut self.pins[0]) {
-                    emit_swaps(
-                        &self.trace,
-                        default_class.as_str(),
-                        shard_idx,
-                        before,
-                        self.pins[0].generation,
-                        service,
-                    );
-                }
-                // One service serves every class.
-                self.thresholds.fill(service.rejuvenation_threshold_secs());
+        for (class_idx, ((service, pin), threshold)) in
+            self.services.iter().zip(&mut self.pins).zip(&mut self.thresholds).enumerate()
+        {
+            let before = pin.generation;
+            if service.refresh(pin) {
+                emit_swaps(
+                    &self.trace,
+                    self.class_names[class_idx].as_str(),
+                    shard_idx,
+                    before,
+                    pin.generation,
+                    service,
+                );
             }
-            ModelBinding::Routed(services) => {
-                for (class_idx, ((service, pin), threshold)) in
-                    services.iter().zip(&mut self.pins).zip(&mut self.thresholds).enumerate()
-                {
-                    let before = pin.generation;
-                    if service.refresh(pin) {
-                        emit_swaps(
-                            &self.trace,
-                            classes[class_idx].as_str(),
-                            shard_idx,
-                            before,
-                            pin.generation,
-                            service,
-                        );
-                    }
-                    *threshold = service.rejuvenation_threshold_secs();
-                }
-            }
-            ModelBinding::Discovered(runtime) => {
-                // Apply the leader's latest partition — new classes,
-                // retirements, re-routed instances — exactly at this
-                // epoch boundary.
-                let version = runtime.version.load(Ordering::Acquire);
-                if version != self.seen_version {
-                    self.seen_version = version;
-                    let table = runtime.classes.read().expect("class table poisoned");
-                    for (orig, instance) in shard.instances.iter_mut() {
-                        let id = runtime.assignment[*orig].load(Ordering::Relaxed);
-                        instance.set_class(id, table[id].0.clone());
-                    }
-                    while self.services.len() < table.len() {
-                        let (name, service) = &table[self.services.len()];
-                        self.pins.push(service.snapshot());
-                        self.class_names.push(name.clone());
-                        self.services.push(Arc::clone(service));
-                    }
-                    drop(table);
-                    shard.ensure_classes(self.services.len());
-                    self.thresholds.resize(self.services.len(), None);
-                }
-                for (class_idx, ((service, pin), threshold)) in
-                    self.services.iter().zip(&mut self.pins).zip(&mut self.thresholds).enumerate()
-                {
-                    let before = pin.generation;
-                    if service.refresh(pin) {
-                        emit_swaps(
-                            &self.trace,
-                            self.class_names[class_idx].as_str(),
-                            shard_idx,
-                            before,
-                            pin.generation,
-                            service,
-                        );
-                    }
-                    *threshold = service.rejuvenation_threshold_secs();
-                }
-            }
+            *threshold = service.rejuvenation_threshold_secs();
         }
     }
 
@@ -175,20 +130,14 @@ impl EpochStep {
         &mut self,
         shard: &mut Shard,
         binding: &ModelBinding<'_>,
-        classes: &[ServiceClass],
-        default_class: &ServiceClass,
         config: &FleetConfig,
         epoch: u64,
     ) -> usize {
-        self.refresh(shard, binding, classes, default_class);
+        self.refresh(shard, binding);
         // The model table this epoch serves from — borrows of `pins`, no
         // per-epoch allocation.
         let models = match binding {
-            ModelBinding::Frozen(model) => EpochModels::Uniform { model: *model, generation: 0 },
-            ModelBinding::Adaptive(_) => EpochModels::Uniform {
-                model: self.pins[0].model.as_ref(),
-                generation: self.pins[0].generation,
-            },
+            ModelBinding::Frozen(model) => EpochModels::Frozen(*model),
             ModelBinding::Routed(_) | ModelBinding::Discovered(_) => {
                 EpochModels::PerClass(&self.pins)
             }

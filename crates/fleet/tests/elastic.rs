@@ -147,7 +147,8 @@ fn churn_outcome_is_shard_count_invariant() {
 /// Serde back-compat (the fixture half of the oracle): a pre-elastic
 /// `BENCH_*.json` report — no `churn`/`scheduler` report fields, no
 /// `joined_epoch`/`retired_epoch` instance fields — must still
-/// deserialise via `#[serde(default)]`.
+/// deserialise via `#[serde(default)]`. Old reports also carry the
+/// retired single-service `adaptation` section, which must be skipped.
 #[test]
 fn pre_elastic_reports_still_deserialise() {
     let predictor = trained_predictor();
@@ -171,6 +172,19 @@ fn pre_elastic_reports_still_deserialise() {
     for field in ["churn", "scheduler", "joined_epoch", "retired_epoch"] {
         assert!(!legacy.contains(field), "field {field} must really be gone");
     }
+    // The old serialiser wrote the single-service adaptation counters just
+    // before `routing`; the field no longer exists and must be ignored.
+    assert!(!json.contains("\"adaptation\""), "the field is gone from new reports");
+    legacy = legacy.replacen(
+        ",\"routing\":",
+        ",\"adaptation\":{\"ingested_checkpoints\":377,\"drift_events\":3,\"retrains\":2,\
+         \"failed_retrains\":0,\"generations_published\":2,\"generation\":2,\"buffered\":377,\
+         \"dropped_checkpoints\":0,\"error_ewma_secs\":548.5,\
+         \"effective_error_threshold_secs\":600.0,\
+         \"effective_rejuvenation_threshold_secs\":null},\"routing\":",
+        1,
+    );
+    assert!(legacy.contains("\"adaptation\":{"), "the legacy fixture carries the section");
     let parsed: FleetReport = serde_json::from_str(&legacy).unwrap();
     assert!(parsed.churn.is_none() && parsed.scheduler.is_none());
     // Everything the old report carried parses to the same values; the

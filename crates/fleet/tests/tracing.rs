@@ -3,7 +3,7 @@
 //! adaptive run resolves a complete causal chain for every generation it
 //! publishes.
 
-use aging_adapt::{AdaptConfig, AdaptiveService, DriftConfig, ServiceClass};
+use aging_adapt::{AdaptConfig, AdaptiveRouter, ClassSpec, DriftConfig, ServiceClass};
 use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
 use aging_fleet::{Fleet, FleetConfig, InstanceSpec, WorkloadShift};
 use aging_ml::m5p::M5pLearner;
@@ -125,7 +125,8 @@ fn adaptive_run_resolves_complete_causal_chains() {
     let recorder = FlightRecorder::shared();
     let learner: Arc<dyn DynLearner> = Arc::new(M5pLearner::paper_default());
     let initial: Arc<dyn Regressor> = Arc::new(predictor.model().clone());
-    let service = AdaptiveService::builder(learner, features.variables().to_vec(), initial)
+    let class = ServiceClass::default();
+    let spec = ClassSpec::builder(learner, initial)
         .config(
             AdaptConfig::builder()
                 .drift(DriftConfig {
@@ -138,6 +139,9 @@ fn adaptive_run_resolves_complete_causal_chains() {
                 .min_buffer_to_retrain(90)
                 .build(),
         )
+        .build();
+    let router = AdaptiveRouter::builder(features.variables().to_vec())
+        .class(class.clone(), spec)
         .trace(Arc::clone(&recorder))
         .spawn();
 
@@ -149,14 +153,14 @@ fn adaptive_run_resolves_complete_causal_chains() {
     Fleet::new(specs, fleet_config)
         .unwrap()
         .with_trace(Arc::clone(&recorder))
-        .run_adaptive(&service, &features);
-    assert!(service.quiesce(Duration::from_secs(30)), "the retrainer must drain");
-    let stats = service.shutdown();
+        .run_routed(&router, &features)
+        .unwrap();
+    assert!(router.quiesce(Duration::from_secs(30)), "the retrainer must drain");
+    let stats = *router.shutdown().class(&class).expect("the one class is registered");
     assert!(stats.generations_published > 0, "the shift must force a retrain: {stats:?}");
 
     let trace = recorder.trace();
     assert_eq!(trace.dropped, 0, "a short run must not overflow the default ring");
-    let class = ServiceClass::default();
     let publishes = trace.publishes(class.as_str());
     assert_eq!(publishes.len() as u64, stats.generations_published);
     for publish in &publishes {

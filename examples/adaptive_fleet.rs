@@ -3,10 +3,12 @@
 //! The paper's thesis in one experiment: a fleet is trained for a
 //! slow-aging regime, then the workload shifts mid-run to an aggressive
 //! leak the model has never seen. The frozen model keeps mispredicting for
-//! the rest of the horizon; the adaptive service notices the drift in its
-//! prediction errors, retrains on the labelled crash epochs streaming in
-//! over the checkpoint bus, and hot-swaps new model generations into the
-//! running fleet — without ever pausing the worker pool.
+//! the rest of the horizon; the adaptive run — a one-class
+//! `AdaptiveRouter`, since every deployment here belongs to the same
+//! class — notices the drift in its prediction errors, retrains on the
+//! labelled crash epochs streaming in over the checkpoint bus, and
+//! hot-swaps new model generations into the running fleet without ever
+//! pausing the worker pool.
 //!
 //! ```text
 //! cargo run --release --example adaptive_fleet [-- --instances 36 \
@@ -15,14 +17,14 @@
 //!
 //! `--json` writes both reports (default path `BENCH_adaptive_fleet.json`);
 //! `--metrics` attaches one telemetry registry to the adaptive run (fleet
-//! *and* service side) and writes its snapshot (default path
+//! *and* router side) and writes its snapshot (default path
 //! `METRICS_adaptive_fleet.json`); `--trace` attaches one flight recorder
 //! to the adaptive run and writes its Chrome trace-event JSON (default
 //! path `TRACE_adaptive_fleet.json`) — the drift→trigger→refit→publish→swap
 //! causal chains, loadable in Perfetto.
 
 use serde::Serialize;
-use software_aging::adapt::{AdaptConfig, AdaptiveService, DriftConfig};
+use software_aging::adapt::{AdaptConfig, AdaptiveRouter, ClassSpec, DriftConfig, ServiceClass};
 use software_aging::core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
 use software_aging::fleet::{Fleet, FleetConfig, FleetReport, InstanceSpec, WorkloadShift};
 use software_aging::ml::m5p::M5pLearner;
@@ -115,17 +117,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frozen_report = Fleet::new(specs.clone(), config)?.run_with_predictor(&predictor);
     println!("{frozen_report}\n");
 
-    // Run 2: same fleet, same seeds, but the model is served by the
-    // adaptation service: drift in the prediction errors triggers
+    // Run 2: same fleet, same seeds, but the model is served by a
+    // one-class router: drift in the prediction errors triggers
     // retraining on the labelled crash epochs, and new generations are
     // hot-swapped into the epoch loop.
-    println!("── adaptive service ──");
+    println!("── adaptive router ──");
     let registry = args.metrics.as_ref().map(|_| Registry::shared());
     let recorder = args.trace.as_ref().map(|_| FlightRecorder::shared());
     let learner: Arc<dyn DynLearner> = Arc::new(M5pLearner::paper_default());
     let initial: Arc<dyn Regressor> = Arc::new(predictor.model().clone());
-    let mut service_builder =
-        AdaptiveService::builder(learner, features.variables().to_vec(), initial).config(
+    let class = ServiceClass::default();
+    let spec = ClassSpec::builder(learner, initial)
+        .config(
             AdaptConfig::builder()
                 .drift(DriftConfig {
                     error_threshold_secs: 600.0,
@@ -136,14 +139,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .buffer_capacity(2048)
                 .min_buffer_to_retrain(120)
                 .build(),
-        );
+        )
+        .build();
+    let mut router_builder =
+        AdaptiveRouter::builder(features.variables().to_vec()).class(class.clone(), spec);
     if let Some(registry) = &registry {
-        service_builder = service_builder.telemetry(Arc::clone(registry));
+        router_builder = router_builder.telemetry(Arc::clone(registry));
     }
     if let Some(recorder) = &recorder {
-        service_builder = service_builder.trace(Arc::clone(recorder));
+        router_builder = router_builder.trace(Arc::clone(recorder));
     }
-    let service = service_builder.spawn();
+    let router = router_builder.spawn();
     let mut adaptive_fleet = Fleet::new(specs, config)?;
     if let Some(registry) = &registry {
         adaptive_fleet = adaptive_fleet.with_telemetry(Arc::clone(registry));
@@ -151,9 +157,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(recorder) = &recorder {
         adaptive_fleet = adaptive_fleet.with_trace(Arc::clone(recorder));
     }
-    let mut adaptive_report = adaptive_fleet.run_adaptive(&service, &features);
+    let mut adaptive_report = adaptive_fleet.run_routed(&router, &features)?;
     println!("{adaptive_report}\n");
-    let stats = service.shutdown();
+    let stats = *router.shutdown().class(&class).expect("the one class is registered");
     // Re-snapshot after the shutdown drain so late refits are counted.
     if let Some(registry) = &registry {
         adaptive_report.telemetry = Some(registry.snapshot());

@@ -1,14 +1,18 @@
-//! End-to-end guarantees of the adaptation subsystem (ISSUE 2 acceptance):
+//! End-to-end guarantees of the adaptation subsystem on a homogeneous
+//! fleet, adapted live by a one-class `AdaptiveRouter`:
 //!
 //! 1. under an injected workload shift, the adaptive fleet achieves a
 //!    lower mean TTF prediction error than the frozen-model fleet on the
 //!    same seeds, while the retrainer runs concurrently with (never
 //!    pausing) the worker pool;
-//! 2. with drift triggering disabled, `run_adaptive` is outcome-identical
-//!    to the frozen run — which transitively extends the existing
-//!    single-instance `evaluate_policy` parity to the service path.
+//! 2. with drift triggering disabled, a one-instance `run_routed` still
+//!    reproduces the single-instance `evaluate_policy` field for field.
+//!    (The fleet-wide drift-disabled identity with the frozen engine is
+//!    `hetero_fleet::single_class_routed_run_is_bit_identical_to_the_frozen_engine`.)
 
-use software_aging::adapt::{AdaptConfig, AdaptiveService, DriftConfig};
+use software_aging::adapt::{
+    AdaptConfig, AdaptationStats, AdaptiveRouter, ClassSpec, DriftConfig, RouterStats, ServiceClass,
+};
 use software_aging::core::rejuvenation::evaluate_policy;
 use software_aging::core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
 use software_aging::fleet::{Fleet, FleetConfig, InstanceSpec, WorkloadShift};
@@ -52,6 +56,24 @@ fn fleet_config(horizon_secs: f64) -> FleetConfig {
     }
 }
 
+/// A router with the one class every spec here carries (the default),
+/// serving `predictor`'s model as generation 0 and refitting M5P.
+fn one_class_router(
+    predictor: &AgingPredictor,
+    features: &FeatureSet,
+    config: AdaptConfig,
+) -> AdaptiveRouter {
+    let learner: Arc<dyn DynLearner> = Arc::new(M5pLearner::paper_default());
+    let initial: Arc<dyn Regressor> = Arc::new(predictor.model().clone());
+    AdaptiveRouter::builder(features.variables().to_vec())
+        .class(ServiceClass::default(), ClassSpec::builder(learner, initial).config(config).build())
+        .spawn()
+}
+
+fn only_class(stats: &RouterStats) -> AdaptationStats {
+    *stats.class(&ServiceClass::default()).expect("the one class is registered")
+}
+
 fn slow_regime_predictor(features: &FeatureSet) -> AgingPredictor {
     let training = vec![
         leaky("train-75eb", 75, 75),
@@ -78,35 +100,34 @@ fn adaptive_fleet_beats_frozen_model_under_workload_shift() {
         "the shifted fleet must produce labelled prediction errors: {frozen}"
     );
 
-    // Adaptive run: same specs and seeds, model served by the service.
-    let learner: Arc<dyn DynLearner> = Arc::new(M5pLearner::paper_default());
-    let initial: Arc<dyn Regressor> = Arc::new(predictor.model().clone());
-    let service = AdaptiveService::builder(learner, features.variables().to_vec(), initial)
-        .config(
-            AdaptConfig::builder()
-                .drift(DriftConfig {
-                    error_threshold_secs: 600.0,
-                    min_observations: 40,
-                    cooldown_observations: 120,
-                    ..Default::default()
-                })
-                .buffer_capacity(2048)
-                .min_buffer_to_retrain(120)
-                .build(),
-        )
-        .spawn();
+    // Adaptive run: same specs and seeds, model served by the router.
+    let router = one_class_router(
+        &predictor,
+        &features,
+        AdaptConfig::builder()
+            .drift(DriftConfig {
+                error_threshold_secs: 600.0,
+                min_observations: 40,
+                cooldown_observations: 120,
+                ..Default::default()
+            })
+            .buffer_capacity(2048)
+            .min_buffer_to_retrain(120)
+            .build(),
+    );
     let adaptive = Fleet::new(shifting_specs(n_instances, horizon), config)
         .unwrap()
-        .run_adaptive(&service, &features);
-    let stats = service.shutdown();
+        .run_routed(&router, &features)
+        .unwrap();
+    let stats = only_class(&router.shutdown());
 
     // Retraining happened, concurrently with the run (the report is built
-    // while the service is still live, and the fleet completed its whole
+    // while the router is still live, and the fleet completed its whole
     // horizon without the workers ever blocking on training).
     assert!(stats.drift_events >= 1, "the shift must register as drift: {stats:?}");
     assert!(stats.retrains >= 1, "drift must trigger retraining: {stats:?}");
     assert!(stats.generations_published >= 1, "retrains must publish generations: {stats:?}");
-    let run_stats = adaptive.adaptation.expect("adaptive runs carry adaptation stats");
+    let run_stats = only_class(adaptive.routing.as_ref().expect("routed runs carry router stats"));
     assert!(run_stats.ingested_checkpoints > 0, "shards must stream labelled checkpoints");
     assert_eq!(adaptive.instances.len(), n_instances);
 
@@ -121,46 +142,9 @@ fn adaptive_fleet_beats_frozen_model_under_workload_shift() {
     );
 }
 
-#[test]
-fn run_adaptive_with_drift_disabled_matches_frozen_run_exactly() {
-    let features = FeatureSet::exp42();
-    let scenario = leaky("leaky", 100, 15);
-    let predictor =
-        AgingPredictor::train(std::slice::from_ref(&scenario), features.clone(), 77).unwrap();
-    let horizon = 3.0 * 3600.0;
-    let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
-    let specs: Vec<InstanceSpec> = (0..6)
-        .map(|i| InstanceSpec::new(format!("svc-{i}"), scenario.clone(), policy, 900 + i as u64))
-        .collect();
-    let config = fleet_config(horizon);
-
-    let frozen = Fleet::new(specs.clone(), config).unwrap().run_with_predictor(&predictor);
-
-    let service = AdaptiveService::builder(
-        Arc::new(M5pLearner::paper_default()),
-        features.variables().to_vec(),
-        Arc::new(predictor.model().clone()),
-    )
-    .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
-    .spawn();
-    let adaptive = Fleet::new(specs, config).unwrap().run_adaptive(&service, &features);
-    let stats = service.shutdown();
-
-    assert_eq!(stats.generations_published, 0, "disabled drift must never publish");
-    assert_eq!(
-        frozen, adaptive,
-        "generation-0 adaptive run must be outcome-identical to the frozen run"
-    );
-    // The simulated outcomes are not just equal but bit-identical.
-    for (a, b) in frozen.instances.iter().zip(&adaptive.instances) {
-        assert_eq!(a.downtime_secs.to_bits(), b.downtime_secs.to_bits(), "{}", a.name);
-        assert_eq!(a.ttf_error_sum_secs.to_bits(), b.ttf_error_sum_secs.to_bits(), "{}", a.name);
-    }
-}
-
 /// Single-instance parity: the adaptive path with drift disabled still
-/// reproduces `evaluate_policy` field for field (the acceptance criterion
-/// extends the frozen-engine guarantee to the service-backed engine).
+/// reproduces `evaluate_policy` field for field (extending the
+/// frozen-engine guarantee to the router-backed engine).
 #[test]
 fn single_instance_adaptive_parity_with_evaluate_policy() {
     let features = FeatureSet::exp42();
@@ -174,19 +158,18 @@ fn single_instance_adaptive_parity_with_evaluate_policy() {
         let single =
             evaluate_policy(&scenario, policy, Some(&predictor), &rejuvenation, seed).unwrap();
 
-        let service = AdaptiveService::builder(
-            Arc::new(M5pLearner::paper_default()),
-            features.variables().to_vec(),
-            Arc::new(predictor.model().clone()),
-        )
-        .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
-        .spawn();
+        let router = one_class_router(
+            &predictor,
+            &features,
+            AdaptConfig::builder().drift(DriftConfig::disabled()).build(),
+        );
         let config = FleetConfig { shards: 1, rejuvenation, counterfactual_horizon_secs: 3600.0 };
         let report =
             Fleet::new(vec![InstanceSpec::new("solo", scenario.clone(), policy, seed)], config)
                 .unwrap()
-                .run_adaptive(&service, &features);
-        service.shutdown();
+                .run_routed(&router, &features)
+                .unwrap();
+        assert_eq!(only_class(&router.shutdown()).generations_published, 0);
 
         let inst = &report.instances[0];
         assert_eq!(inst.crashes, single.crashes, "seed {seed}");

@@ -59,7 +59,6 @@ fn quick_adapt(threshold: f64) -> AdaptConfig {
         })
         .buffer_capacity(512)
         .min_buffer_to_retrain(40)
-        .bus_capacity(256)
         .build()
 }
 
