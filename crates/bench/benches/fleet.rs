@@ -11,8 +11,9 @@
 //! extended to a 2×2 over metrics × tracing: the same fleet run with a
 //! live registry and/or a live flight recorder attached must stay within
 //! ~2% checkpoints/sec of the uninstrumented run — the instruments record
-//! one clock read per phase per epoch, never per checkpoint row, and a
-//! frozen run's tracer emits one ring write per epoch (the leader mark).
+//! one clock read per phase per shard epoch, never per checkpoint row, and
+//! a frozen run's tracer emits one ring write per shard epoch (the
+//! scheduler's dispatch event) plus one per fleet epoch (the epoch mark).
 
 use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
 use aging_fleet::{Fleet, FleetConfig};
@@ -120,7 +121,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         })
     });
     // Instrumented: a fresh live registry per iteration (matching what
-    // `--metrics` attaches), phase spans and barrier waits recording.
+    // `--metrics` attaches), phase spans and scheduler queue depths
+    // recording.
     group.bench_function("live_registry_100instances", |b| {
         b.iter(|| {
             let fleet = Fleet::uniform(&scenario, policy, 100, 7_000, config)

@@ -10,11 +10,15 @@
 //!
 //! # Architecture
 //!
-//! - Instances are round-robined across a fixed pool of `shards` worker
-//!   threads (one [`std::thread`] per shard, no per-epoch respawning).
-//! - The fleet advances in **lock-step epochs**: every live instance
-//!   consumes one 15-second monitoring checkpoint per epoch, and the
-//!   workers synchronise on a barrier before the next epoch begins.
+//! - Instances are round-robined across `shards` shards, and the fleet
+//!   advances in **epochs**: every live instance consumes one 15-second
+//!   monitoring checkpoint per epoch.
+//! - An event-driven scheduler runs the epochs: each shard is a task on a
+//!   ready queue, drained by a fixed worker pool (one thread per shard by
+//!   default, sized by [`Fleet::with_scheduler`]), and a shard runs its
+//!   next epoch as soon as it is eligible — a slow shard never stalls its
+//!   siblings. Worker count is pure parallelism: a 1-worker pool runs the
+//!   fleet sequentially and produces the same report.
 //! - Within a shard, every checkpoint that needs a time-to-failure
 //!   estimate is projected straight into a flat row-major
 //!   [`aging_ml::FeatureMatrix`] (reused across epochs — no per-row
@@ -47,16 +51,15 @@
 //!
 //! # Elasticity
 //!
-//! [`Fleet::with_scheduler`] swaps the barrier for an event-driven epoch
-//! scheduler: shards become tasks on a ready queue, each runs its next
-//! epoch the moment it is eligible, and the only global cuts left are
-//! leader boundaries (discovery reassessment, autoscale evaluation). A
-//! [`Fleet::with_churn`] plan makes membership dynamic — scripted joins
-//! and retires plus an optional [`AutoscaleRule`] floor — with every
-//! change journalled, traced, and folded into the report's
-//! [`ChurnStats`]. The lock-step engine stays as the determinism oracle:
-//! on a churn-free spec the scheduled run reproduces its report
-//! bit-exactly (asserted in `tests/elastic.rs`).
+//! The scheduler's only global cuts are leader boundaries (discovery
+//! reassessment, autoscale evaluation). A [`Fleet::with_churn`] plan
+//! makes membership dynamic — scripted joins and retires plus an optional
+//! [`AutoscaleRule`] floor — with every change journalled, traced, and
+//! folded into the report's [`ChurnStats`]. Two oracles check the
+//! engine: every instance of a fleet reproduces the single-instance
+//! `evaluate_policy` study, and every worker count reproduces the
+//! sequential 1-worker run bit-exactly (`tests/properties.rs`,
+//! `tests/elastic.rs`).
 //!
 //! # Example
 //!
@@ -265,24 +268,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_panic_propagates_instead_of_deadlocking() {
-        // A model assertion (e.g. feature-arity mismatch) fires inside one
-        // worker thread; the barrier protocol must let every worker drain
-        // out and the payload reach the caller, not strand the siblings.
-        #[derive(Debug)]
-        struct PanicModel;
+    /// A model that rejects every feature row — a stand-in for a model
+    /// assertion (e.g. feature-arity mismatch) firing inside a worker.
+    #[derive(Debug)]
+    struct PanicModel;
 
-        impl aging_ml::Regressor for PanicModel {
-            fn predict(&self, _x: &[f64]) -> f64 {
-                panic!("model rejected the feature row");
-            }
-
-            fn name(&self) -> &'static str {
-                "Panic"
-            }
+    impl aging_ml::Regressor for PanicModel {
+        fn predict(&self, _x: &[f64]) -> f64 {
+            panic!("model rejected the feature row");
         }
 
+        fn name(&self) -> &'static str {
+            "Panic"
+        }
+    }
+
+    #[test]
+    fn worker_panic_propagates_instead_of_deadlocking() {
+        // The panic fires inside one worker thread; the pool must let
+        // every worker drain out and the payload reach the caller, not
+        // strand the siblings.
         let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
         let fleet = Fleet::uniform(&crashing_scenario(), policy, 4, 1, short_config(2)).unwrap();
         let features = FeatureSet::exp42();
@@ -316,14 +321,13 @@ mod tests {
         .run_with_predictor(&predictor);
         let telemetry = report.telemetry.as_ref().expect("registry attached");
         assert_eq!(telemetry.counter("fleet_epochs_total", None), Some(report.epochs));
-        let waits = telemetry.histogram_series("fleet_barrier_wait_seconds");
-        assert_eq!(waits.len(), 2, "one barrier-wait series per shard");
-        assert!(waits.iter().all(|h| h.count > 0), "every shard waits every epoch");
-        assert!(telemetry.histogram("fleet_epoch_advance_seconds", Some("0")).is_some());
+        let advances = telemetry.histogram_series("fleet_epoch_advance_seconds");
+        assert_eq!(advances.len(), 2, "one epoch-advance series per shard");
+        assert!(advances.iter().all(|h| h.count > 0), "every shard advances every epoch");
         assert!(telemetry.histogram("fleet_epoch_predict_seconds", Some("1")).is_some());
-        let timing = report.shard_timing_summary().expect("waits recorded");
+        let timing = report.shard_timing_summary().expect("phases recorded");
         assert!(timing.contains("slowest shard"), "{timing}");
-        assert!(timing.contains("p99 wait"), "tail latency must be reported: {timing}");
+        assert!(timing.contains("max/min busy"), "shard imbalance must be reported: {timing}");
         assert!(report.to_string().contains("shard timing"), "{report}");
 
         // Untelemetered runs carry no snapshot (and pay no clock reads).
@@ -357,7 +361,7 @@ mod tests {
         assert!(text.contains("checkpoints/s"), "{text}");
     }
 
-    /// A panic inside the barrier leader's discovery window must dump the
+    /// A panic inside the scheduler leader's discovery window must dump the
     /// flight recorder exactly once (shared gate with the worker panic
     /// path) and still rethrow the payload to the caller.
     #[test]
@@ -397,34 +401,23 @@ mod tests {
         assert_eq!(recorder.dumped(), 1, "one dump per recorder, not per panicking thread");
     }
 
-    /// A panic inside a scheduler worker's shard task must go through the
-    /// same dump-exactly-once flight-recorder gate as the lock-step
-    /// engine's panic paths, and the payload must still reach the caller.
+    /// A panic inside a scheduler worker's shard task — on every shard
+    /// at once — must go through the same dump-exactly-once
+    /// flight-recorder gate as the leader's panic path, and the payload
+    /// must still reach the caller.
     #[test]
     fn scheduler_worker_panic_dumps_flight_recorder_once() {
         use aging_obs::FlightRecorder;
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::atomic::Ordering;
         use std::sync::Arc;
 
-        let predictor =
-            AgingPredictor::train(&[crashing_scenario()], FeatureSet::exp42(), 11).unwrap();
+        let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
         let recorder = Arc::new(FlightRecorder::with_capacity(128));
-        let fleet = Fleet::uniform(
-            &crashing_scenario(),
-            RejuvenationPolicy::Reactive,
-            4,
-            3,
-            short_config(2),
-        )
-        .unwrap()
-        .with_scheduler(SchedulerConfig::default())
-        .with_trace(Arc::clone(&recorder));
-        // Arm the seam for shard 0's second epoch; disarm before asserting
-        // so a failure cannot leak the panic into later tests.
-        crate::scheduler::SCHEDULER_PANIC_AT.store(1, Ordering::SeqCst);
-        let result = catch_unwind(AssertUnwindSafe(|| fleet.run_with_predictor(&predictor)));
-        crate::scheduler::SCHEDULER_PANIC_AT.store(u64::MAX, Ordering::SeqCst);
+        let fleet = Fleet::uniform(&crashing_scenario(), policy, 4, 3, short_config(2))
+            .unwrap()
+            .with_trace(Arc::clone(&recorder));
+        let features = FeatureSet::exp42();
+        let result = catch_unwind(AssertUnwindSafe(|| fleet.run(&PanicModel, &features)));
         assert!(result.is_err(), "the worker panic must reach the caller");
         assert_eq!(recorder.dumped(), 1, "one dump per recorder, not per panicking thread");
     }

@@ -206,9 +206,9 @@ pub struct FleetTiming {
 pub struct FleetReport {
     /// Per-instance outcomes, in spec order.
     pub instances: Vec<InstanceReport>,
-    /// Worker threads used.
+    /// Shards the instances were placed on.
     pub shards: usize,
-    /// Lock-step fleet epochs driven.
+    /// Fleet epochs driven (the furthest any shard advanced).
     pub epochs: u64,
     /// Configured operating horizon, seconds.
     pub horizon_secs: f64,
@@ -266,11 +266,10 @@ pub struct FleetReport {
     /// for fixed specs, plan and seeds.
     #[serde(default)]
     pub churn: Option<ChurnStats>,
-    /// Event-driven scheduler counters — present when the run executed on
-    /// the scheduler (churn attached or [`crate::Fleet::with_scheduler`]),
-    /// `None` for lock-step runs and pre-elastic reports. Excluded from
-    /// equality: a scheduled run must compare equal to its lock-step
-    /// oracle, and task interleaving varies between runs.
+    /// Event-driven scheduler counters — set by every run, `None` only
+    /// when deserialising reports written before the scheduler existed.
+    /// Excluded from equality: runs at different worker counts must
+    /// compare equal, and task interleaving varies between runs.
     #[serde(default)]
     pub scheduler: Option<SchedulerStats>,
 }
@@ -351,35 +350,31 @@ impl FleetReport {
         }
     }
 
-    /// Summarises per-shard barrier-wait timing from the telemetry
-    /// snapshot: the shard that spent the most total wall time waiting at
-    /// the epoch barrier, plus the fleet-wide mean, p99 (from the merged
-    /// per-shard distribution) and max wait. `None` when no telemetry was
-    /// attached or no barrier wait was ever recorded.
+    /// Summarises per-shard busy time from the telemetry snapshot. A
+    /// shard's busy time is the sum of its
+    /// `fleet_epoch_{advance,predict,publish}_seconds{shard}` histograms;
+    /// the summary names the slowest shard, its busy seconds, and the
+    /// max/min busy ratio across shards (1.0 = perfectly balanced).
+    /// `None` when no telemetry was attached or no phase was recorded.
     pub fn shard_timing_summary(&self) -> Option<String> {
         let telemetry = self.telemetry.as_ref()?;
-        let waits = telemetry.histogram_series("fleet_barrier_wait_seconds");
-        let slowest =
-            waits.iter().filter(|h| h.count > 0).max_by(|a, b| a.sum.total_cmp(&b.sum))?;
-        let total_count: u64 = waits.iter().map(|h| h.count).sum();
-        let total_sum: f64 = waits.iter().map(|h| h.sum).sum();
-        let mean = if total_count > 0 { total_sum / total_count as f64 } else { 0.0 };
-        let max = waits.iter().filter_map(|h| h.max_bound()).fold(0.0_f64, f64::max);
-        // Tail latency, not just the worst single wait: p99 of the merged
-        // fleet-wide distribution (log2-bucket resolution).
-        let p99 = telemetry
-            .histogram_merged("fleet_barrier_wait_seconds")
-            .and_then(|merged| merged.p99())
-            .unwrap_or(max);
-        Some(format!(
-            "slowest shard {} ({:.3} s total barrier wait)  mean wait {:.6} s  \
-             p99 wait < {:.6} s  max wait < {:.6} s",
-            slowest.label_value().unwrap_or("?"),
-            slowest.sum,
-            mean,
-            p99,
-            max
-        ))
+        let mut busy: Vec<(&str, f64)> = Vec::new();
+        for phase in [
+            "fleet_epoch_advance_seconds",
+            "fleet_epoch_predict_seconds",
+            "fleet_epoch_publish_seconds",
+        ] {
+            for h in telemetry.histogram_series(phase) {
+                let shard = h.label_value().unwrap_or("?");
+                match busy.iter_mut().find(|(s, _)| *s == shard) {
+                    Some((_, secs)) => *secs += h.sum,
+                    None => busy.push((shard, h.sum)),
+                }
+            }
+        }
+        let (slowest, max) = busy.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1))?;
+        let min = busy.iter().map(|(_, secs)| *secs).fold(f64::INFINITY, f64::min);
+        Some(format!("slowest shard {slowest} ({max:.3} s busy)  max/min busy {:.2}", max / min))
     }
 
     /// Serializes the report (including router stats, when present) as
@@ -426,7 +421,7 @@ impl fmt::Display for FleetReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fleet of {} instances across {} shards, {:.1} h horizon ({} lock-step epochs)",
+            "fleet of {} instances across {} shards, {:.1} h horizon ({} epochs)",
             self.instances.len(),
             self.shards,
             self.horizon_secs / 3600.0,

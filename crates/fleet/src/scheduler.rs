@@ -1,16 +1,12 @@
-//! The event-driven epoch scheduler: elastic fleets without barriers.
+//! The event-driven epoch scheduler: the engine every fleet run executes on.
 //!
-//! The lock-step engine (`crate::engine`) advances every shard through a
-//! [`std::sync::Barrier`] — a slow shard stalls the whole fleet twice per
-//! epoch, and the population is fixed for the run. This module replaces
-//! both constraints with an epoch wheel: shards become *tasks* on a ready
-//! queue, a worker pool drains the queue, and each shard runs its next
-//! epoch the moment it is eligible — independent of its siblings. The only
-//! synchronisation points left are *leader boundaries* (discovery
+//! Shards are *tasks* on a ready queue, a worker pool drains the queue,
+//! and each shard runs its next epoch the moment it is eligible —
+//! independent of its siblings, so a slow shard never stalls the fleet.
+//! The only synchronisation points are *leader boundaries* (discovery
 //! reassessment, autoscale evaluation): no shard may start an epoch past
 //! the next boundary, and the leader task runs exactly when every live
-//! shard has parked there — the same single-threaded window the barrier
-//! leader had, scheduled instead of elected.
+//! shard has parked there — the protocol's one single-threaded window.
 //!
 //! Elasticity rides on the same wheel. A [`ChurnPlan`]'s scripted joins
 //! and retires are queued per owning shard and applied at the top of their
@@ -23,9 +19,10 @@
 //! Determinism: per-shard epoch order is total, membership changes land at
 //! fixed epochs, and every leader boundary is a global cut (all epochs
 //! `< B` complete before the boundary-`B` leader runs, none `≥ B` start
-//! before it finishes). On a churn-free fleet the scheduled report is
-//! bit-identical to the lock-step oracle — both engines drive the same
-//! [`EpochStep`] over the same shard state in the same per-shard order.
+//! before it finishes). Every worker count therefore produces the same
+//! report: a 1-worker pool runs the fleet sequentially, and the
+//! multi-worker runs are checked bit-exactly against it and against the
+//! single-instance `aging_core::rejuvenation::evaluate_policy` study.
 
 use crate::churn::ChurnPlan;
 use crate::config::{FleetConfig, InstanceSpec};
@@ -46,38 +43,19 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex};
 
-#[cfg(test)]
-use std::sync::atomic::AtomicU64;
-
-/// Test seam: makes the scheduler's shard-0 task panic when it is about
-/// to run this epoch, exercising the catch-unwind + flight-recorder dump
-/// path of the worker pool. `u64::MAX` disables it.
-#[cfg(test)]
-pub(crate) static SCHEDULER_PANIC_AT: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Tuning knobs of the event-driven scheduler
-/// ([`crate::Fleet::with_scheduler`]). The default — one worker per
-/// shard, unbounded lead — is the drop-in replacement for the lock-step
-/// engine.
+/// Worker-pool size of the event-driven scheduler
+/// ([`crate::Fleet::with_scheduler`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerConfig {
     /// Worker threads in the pool. `0` (the default) means one per
     /// shard; values above the shard count are clamped to it.
     #[serde(default)]
     pub workers: usize,
-    /// How many epochs a shard may run ahead of the slowest live shard
-    /// between leader boundaries. `0` (the default) means unbounded —
-    /// shards are fully independent between boundaries. Small values
-    /// bound the memory the adaptation bus can accumulate when shard
-    /// speeds diverge.
-    #[serde(default)]
-    pub max_lead_epochs: u64,
 }
 
 /// What [`run_elastic`] hands back to the engine's report assembly.
 pub(crate) struct ElasticOutcome {
-    /// Fleet epochs driven (max over shards — the same count the
-    /// lock-step engine reports).
+    /// Fleet epochs driven (max over shards).
     pub(crate) epochs: u64,
     /// Membership accounting (meaningful when a plan was attached).
     pub(crate) churn: ChurnStats,
@@ -98,7 +76,6 @@ pub(crate) struct ElasticArgs<'a, 'b> {
     pub(crate) trace_recorder: Option<&'a FlightRecorder>,
     pub(crate) trace: TraceHandle,
     pub(crate) journal: Option<&'a Journal>,
-    pub(crate) epochs_counter: CounterHandle,
 }
 
 /// One unit of work on the ready queue.
@@ -124,9 +101,6 @@ struct Params {
     reassess: Option<u64>,
     /// `(evaluate_every_epochs, min_live)` of the autoscale rule.
     autoscale: Option<(u64, u64)>,
-    /// Max epochs a shard may lead the slowest live shard (0 =
-    /// unbounded).
-    max_lead: u64,
 }
 
 /// The scheduler's shared state, behind one mutex. Tasks are popped by
@@ -162,7 +136,8 @@ struct Core {
     /// Highest epoch any shard has completed — the report's epoch count.
     max_epoch: u64,
     panicked: bool,
-    /// First worker panic payload, rethrown after the pool drains.
+    /// First worker or leader panic payload, rethrown after the pool
+    /// drains.
     payload: Option<Box<dyn std::any::Any + Send>>,
     /// Pool shutdown: everything done and nothing in flight.
     exited: bool,
@@ -231,25 +206,22 @@ impl Core {
                 self.next_epoch[s] = target;
             }
         }
-        let min_active = (0..n).filter(|&s| !self.done[s]).map(|s| self.next_epoch[s]).min();
-        let Some(min_active) = min_active else {
+        if (0..n).all(|s| self.done[s]) {
             // Every shard retired: the fleet is dead and nothing can
-            // revive it. No leader runs past fleet death (lock-step
-            // parity), so exit as soon as in-flight work lands.
+            // revive it. No leader runs past fleet death, so exit as soon
+            // as in-flight work lands.
             self.exited = self.ready.is_empty()
                 && !self.busy.iter().any(|&b| b)
                 && !self.leader_busy
                 && !self.leader_queued;
             return;
-        };
-        let lead_cap =
-            if p.max_lead == 0 { u64::MAX } else { min_active.saturating_add(p.max_lead) };
+        }
         for s in 0..n {
             if self.done[s] || self.busy[s] || self.queued[s] {
                 continue;
             }
             let epoch = self.next_epoch[s];
-            if epoch >= b_next || epoch >= lead_cap {
+            if epoch >= b_next {
                 continue;
             }
             let join_due = self.pending_joins[s].iter().any(|j| j.at_epoch <= epoch);
@@ -260,8 +232,7 @@ impl Core {
             self.ready.push_back(Task::Shard(s));
         }
         // The leader runs exactly when every non-retired shard is parked
-        // at the boundary — the scheduled equivalent of the barrier's
-        // single-threaded window.
+        // at the boundary — the protocol's single-threaded window.
         if b_next != u64::MAX && !self.leader_queued && !self.leader_busy {
             let all_parked = (0..n).all(|s| {
                 self.done[s] || (!self.busy[s] && !self.queued[s] && self.next_epoch[s] >= b_next)
@@ -331,10 +302,9 @@ fn journal_membership(journal: Option<&Journal>, record: &JournalRecord) {
     }
 }
 
-/// Drives an elastic fleet run on the event-driven scheduler. Returns
-/// after the pool drains; a worker panic is rethrown here (a leader-side
-/// discovery panic lands in the runtime's payload slot instead, matching
-/// the lock-step engine).
+/// Drives a fleet run on the event-driven scheduler. Returns
+/// after the pool drains; the first worker or leader panic is rethrown
+/// here.
 pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
     let n_shards = args.shards.len();
     let workers = match args.scheduler.workers {
@@ -351,9 +321,9 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
             .churn
             .and_then(|plan| plan.autoscale.as_ref())
             .map(|rule| (rule.evaluate_every_epochs, rule.min_live as u64)),
-        max_lead: args.scheduler.max_lead_epochs,
     };
-    let (queue_depth, live_gauge, leader_hist) = match args.telemetry {
+    // Disabled handles keep an untelemetered run free of clock reads.
+    let (queue_depth, live_gauge, leader_hist, epochs_counter) = match args.telemetry {
         Some(registry) => (
             registry.histogram(
                 "fleet_scheduler_queue_depth",
@@ -363,11 +333,17 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
             registry.gauge("fleet_instances_live", "Instances currently live across the fleet"),
             registry.histogram(
                 "fleet_leader_step_seconds",
-                "Wall time of the leader's single-threaded inter-barrier window per epoch",
+                "Wall time of the scheduler's single-threaded leader window per boundary",
                 Unit::Seconds,
             ),
+            registry.counter("fleet_epochs_total", "Completed fleet epochs"),
         ),
-        None => (HistogramHandle::disabled(), GaugeHandle::disabled(), HistogramHandle::disabled()),
+        None => (
+            HistogramHandle::disabled(),
+            GaugeHandle::disabled(),
+            HistogramHandle::disabled(),
+            CounterHandle::disabled(),
+        ),
     };
 
     // The initial roster is membership too: journal every founding
@@ -491,7 +467,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
         queue_depth,
         live_gauge,
         leader_hist,
-        epochs_counter: args.epochs_counter,
+        epochs_counter,
     };
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -610,10 +586,6 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
     }
 
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        #[cfg(test)]
-        if s == 0 && epoch == SCHEDULER_PANIC_AT.load(Ordering::Relaxed) {
-            panic!("synthetic scheduler panic on shard {s} at epoch {epoch}");
-        }
         slot.step.run(slot.shard, ctx.binding, ctx.config, epoch) as u64
     }));
     let live_after = match &outcome {
@@ -631,9 +603,9 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
     };
     if outcome.is_ok() {
         if let ModelBinding::Discovered(runtime) = ctx.binding {
-            // A dying shard publishes its final signatures immediately —
-            // the values the lock-step engine would keep republishing at
-            // every later boundary.
+            // A dying shard publishes its final signatures immediately:
+            // they stay in force at every later boundary, since a dead
+            // shard never runs another epoch to refresh them.
             if EpochStep::reassess_after(ctx.binding, epoch) || live_after == 0 {
                 EpochStep::publish_signatures(slot.shard, runtime);
             }
@@ -694,15 +666,18 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         core.total_live -= 1;
     }
     ctx.live_gauge.set(core.total_live as f64);
-    if epoch + 1 > core.max_epoch {
-        ctx.epochs_counter.add(epoch + 1 - core.max_epoch);
-        core.max_epoch = epoch + 1;
+    // The fleet's epoch marks: one unscoped `EpochCompleted` per epoch, in
+    // order, emitted under the core lock where the epoch counter advances
+    // — so the trace and `fleet_epochs_total` always agree.
+    while core.max_epoch <= epoch {
+        let _ =
+            ctx.trace.emit(EventScope::root(), EventKind::EpochCompleted { epoch: core.max_epoch });
+        ctx.epochs_counter.inc();
+        core.max_epoch += 1;
     }
     if let Err(payload) = outcome {
         core.panicked = true;
-        if core.payload.is_none() {
-            core.payload = Some(payload);
-        }
+        core.payload.get_or_insert(payload);
     }
     core.schedule(&ctx.params);
     ctx.cv.notify_all();
@@ -713,21 +688,17 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
 /// autoscale evaluation, then advances the boundary clock.
 fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
     let leader_span = ctx.leader_hist.span();
-    let mut discovery_panicked = false;
+    let mut discovery_panic = None;
     if let Some(reassess) = ctx.params.reassess {
         if boundary % reassess == 0 {
             if let ModelBinding::Discovered(runtime) = ctx.binding {
                 if let Err(payload) =
                     std::panic::catch_unwind(AssertUnwindSafe(|| runtime.step(boundary)))
                 {
-                    discovery_panicked = true;
                     if let Some(recorder) = ctx.trace_recorder {
                         recorder.dump_once(&format!("discovery step panicked at epoch {boundary}"));
                     }
-                    // Lock-step parity: the leader's payload travels via
-                    // the runtime, rethrown by `run_discovered` after the
-                    // engine returns.
-                    *runtime.panic_payload.lock().expect("payload slot") = Some(payload);
+                    discovery_panic = Some(payload);
                 }
             }
         }
@@ -736,8 +707,12 @@ fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
     core.leader_busy = false;
     core.sync_done = boundary;
     core.stats.leader_steps += 1;
-    if discovery_panicked {
+    if let Some(payload) = discovery_panic {
+        // Rethrown after the pool drains, like a worker panic — before
+        // `run_discovered` touches the runtime's possibly poisoned
+        // mutexes, so a poison panic cannot mask the real payload.
         core.panicked = true;
+        core.payload.get_or_insert(payload);
     } else if let Some((every, min_live)) = ctx.params.autoscale {
         // Autoscale: top the fleet back up to its floor from the spawn
         // pool. Spawns join at the top of the boundary epoch on their

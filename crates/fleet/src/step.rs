@@ -6,12 +6,12 @@
 //! refresh pins/classes → build the epoch's model table → advance every
 //! instance, batch-predict per class, publish labelled checkpoints.
 //!
-//! Both engines drive the *same* `EpochStep`: the lock-step barrier loop
-//! (`crate::engine`) and the event-driven scheduler
-//! (`crate::scheduler`). That shared unit is what makes the determinism
-//! oracle structural — on a churn-free spec the two engines execute
-//! identical per-shard work in identical order, so their reports are
-//! bit-identical by construction, not by coincidence.
+//! The event-driven scheduler (`crate::scheduler`) runs one `EpochStep`
+//! per shard, at most one epoch at a time and in epoch order. A shard's
+//! work therefore depends only on its own state and the leader
+//! boundaries, never on which worker thread runs it or when — which is
+//! why every worker count, the sequential 1-worker pool included,
+//! produces the same report.
 
 use crate::config::FleetConfig;
 use crate::engine::{emit_swaps, DiscoveryRuntime, ModelBinding};

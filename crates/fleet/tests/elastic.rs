@@ -1,7 +1,7 @@
-//! Elastic-engine guarantees: the event-driven scheduler is a bit-exact
-//! drop-in for the lock-step engine on churn-free fleets (the determinism
-//! oracle), churn runs are bit-reproducible for a fixed seed, and the
-//! elastic report fields stay backward-compatible with pre-elastic
+//! Elastic-engine guarantees: worker and shard counts are pure
+//! parallelism (every configuration reproduces the sequential 1-worker
+//! run bit-exactly), churn runs are bit-reproducible for a fixed seed, and
+//! the elastic report fields stay backward-compatible with pre-elastic
 //! artifacts.
 
 use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
@@ -34,47 +34,47 @@ fn config(shards: usize, horizon_hours: f64) -> FleetConfig {
     }
 }
 
-/// The determinism oracle: on a churn-free fleet, the event-driven
-/// scheduler must reproduce the lock-step engine's `FleetReport`
-/// bit-exactly — same epochs, same per-instance accounting, same
-/// everything equality covers — at every shard count, worker count and
-/// lead bound.
+/// The sequential reference: on a churn-free fleet, every worker count
+/// must reproduce the 1-worker run at the same shard count bit-exactly —
+/// same epochs, same per-instance accounting, same everything equality
+/// covers — and every shard count must reproduce the 1-shard run.
 #[test]
-fn churn_free_scheduled_run_matches_lock_step_bit_exactly() {
+fn churn_free_runs_match_the_one_worker_run_bit_exactly() {
     let predictor = trained_predictor();
     let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
-    for shards in [1usize, 2, 4] {
-        let lock_step = Fleet::uniform(&crashing_scenario(), policy, 8, 100, config(shards, 3.0))
+    let run = |shards: usize, scheduler: SchedulerConfig| {
+        Fleet::uniform(&crashing_scenario(), policy, 8, 100, config(shards, 3.0))
             .unwrap()
-            .run_with_predictor(&predictor);
-        for scheduler in [
-            SchedulerConfig::default(),
-            SchedulerConfig { workers: 1, max_lead_epochs: 0 },
-            SchedulerConfig { workers: 0, max_lead_epochs: 2 },
-        ] {
-            let scheduled =
-                Fleet::uniform(&crashing_scenario(), policy, 8, 100, config(shards, 3.0))
-                    .unwrap()
-                    .with_scheduler(scheduler)
-                    .run_with_predictor(&predictor);
+            .with_scheduler(scheduler)
+            .run_with_predictor(&predictor)
+    };
+    let sequential = SchedulerConfig { workers: 1 };
+    let one_shard = run(1, sequential);
+    for shards in [1usize, 2, 4] {
+        let reference = run(shards, sequential);
+        assert_eq!(reference.scheduler.expect("every run carries scheduler stats").workers, 1);
+        for scheduler in [SchedulerConfig::default(), SchedulerConfig { workers: 2 }] {
+            let scheduled = run(shards, scheduler);
             assert_eq!(
-                scheduled, lock_step,
-                "shards={shards} scheduler={scheduler:?}: the oracle must hold"
+                scheduled, reference,
+                "shards={shards} scheduler={scheduler:?}: must match the 1-worker run"
             );
+            assert_eq!(scheduled.instances, one_shard.instances, "shards={shards} vs 1 shard");
             // Bit-level spot checks on the strongest fields, belt and
             // braces over derived `PartialEq`.
-            for (s, l) in scheduled.instances.iter().zip(&lock_step.instances) {
-                assert_eq!(s.downtime_secs.to_bits(), l.downtime_secs.to_bits(), "{}", s.name);
-                assert_eq!(s.availability.to_bits(), l.availability.to_bits(), "{}", s.name);
-                assert_eq!(s.joined_epoch, l.joined_epoch, "{}", s.name);
-                assert_eq!(s.retired_epoch, l.retired_epoch, "{}", s.name);
+            for baseline in [&reference, &one_shard] {
+                for (s, l) in scheduled.instances.iter().zip(&baseline.instances) {
+                    assert_eq!(s.downtime_secs.to_bits(), l.downtime_secs.to_bits(), "{}", s.name);
+                    assert_eq!(s.availability.to_bits(), l.availability.to_bits(), "{}", s.name);
+                    assert_eq!(s.joined_epoch, l.joined_epoch, "{}", s.name);
+                    assert_eq!(s.retired_epoch, l.retired_epoch, "{}", s.name);
+                }
+                assert_eq!(scheduled.epochs, baseline.epochs, "shards={shards}");
             }
-            assert_eq!(scheduled.epochs, lock_step.epochs, "shards={shards}");
-            // The scheduled run reports its execution stats (excluded
-            // from equality — they describe the engine, not the fleet).
-            let stats = scheduled.scheduler.expect("scheduled runs carry scheduler stats");
+            // Execution stats are excluded from equality — they describe
+            // the engine, not the fleet.
+            let stats = scheduled.scheduler.expect("every run carries scheduler stats");
             assert!(stats.shard_tasks > 0);
-            assert!(lock_step.scheduler.is_none(), "lock-step runs carry none");
         }
     }
 }
@@ -158,11 +158,14 @@ fn pre_elastic_reports_still_deserialise() {
         .run_with_predictor(&predictor);
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("\"churn\":null"), "plain runs serialise null churn");
-    assert!(json.contains("\"scheduler\":null"));
+    assert!(json.contains("\"scheduler\":{"), "every run serialises its scheduler stats");
     assert!(json.contains("\"joined_epoch\":0"));
     // A pre-elastic artifact is this JSON with the elastic fields absent
     // altogether. Strip them the way the old serialiser never wrote them.
-    let mut legacy = json.replace(",\"churn\":null", "").replace(",\"scheduler\":null", "");
+    let mut legacy = json.replace(",\"churn\":null", "");
+    let at = legacy.find(",\"scheduler\":{").expect("scheduler object present");
+    let end = at + legacy[at..].find('}').expect("scheduler object terminated");
+    legacy.replace_range(at..=end, "");
     legacy = legacy.replace(",\"joined_epoch\":0", "");
     while let Some(at) = legacy.find(",\"retired_epoch\":") {
         let rest = &legacy[at + 1..];

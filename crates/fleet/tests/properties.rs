@@ -1,10 +1,10 @@
 //! Fleet engine guarantees: determinism across runs and shard counts, and
-//! exact equivalence between a 1-instance fleet and the single-instance
+//! exact equivalence between every fleet instance and the single-instance
 //! rejuvenation study it generalises.
 
 use aging_core::rejuvenation::evaluate_policy;
-use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
-use aging_fleet::{Fleet, FleetConfig, FleetReport, InstanceSpec};
+use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy, RejuvenationReport};
+use aging_fleet::{Fleet, FleetConfig, FleetReport, InstanceReport, InstanceSpec};
 use aging_monitor::FeatureSet;
 use aging_testbed::{MemLeakSpec, Scenario};
 
@@ -101,22 +101,70 @@ fn shard_count_does_not_change_the_outcome() {
     assert_eq!(one.instances, three.instances);
     assert_eq!(one.instances, eight.instances);
     assert_eq!(one.crashes, eight.crashes);
-    assert_eq!(one.epochs, eight.epochs, "lock-step epoch count is shard-independent");
+    assert_eq!(one.epochs, eight.epochs, "the epoch count is shard-independent");
 }
 
-/// A 1-instance fleet must reproduce `evaluate_policy` exactly — same
-/// crash/restart counts and bit-identical downtime, availability and
-/// lost-work accounting — for every policy family.
+/// Asserts one fleet instance reproduces its single-instance study:
+/// same crash/restart counts and bit-identical horizon, downtime,
+/// availability and lost-work accounting.
+fn assert_matches_study(inst: &InstanceReport, single: &RejuvenationReport, ctx: &str) {
+    assert_eq!(inst.policy, single.policy, "{ctx}");
+    assert_eq!(inst.crashes, single.crashes, "{ctx}");
+    assert_eq!(inst.rejuvenations, single.rejuvenations, "{ctx}");
+    assert_eq!(
+        inst.horizon_secs.to_bits(),
+        single.horizon_secs.to_bits(),
+        "{ctx}: horizon {} vs {}",
+        inst.horizon_secs,
+        single.horizon_secs
+    );
+    assert_eq!(
+        inst.downtime_secs.to_bits(),
+        single.downtime_secs.to_bits(),
+        "{ctx}: downtime {} vs {}",
+        inst.downtime_secs,
+        single.downtime_secs
+    );
+    assert_eq!(
+        inst.availability.to_bits(),
+        single.availability.to_bits(),
+        "{ctx}: availability {} vs {}",
+        inst.availability,
+        single.availability
+    );
+    assert_eq!(
+        inst.lost_requests.to_bits(),
+        single.lost_requests.to_bits(),
+        "{ctx}: lost work {} vs {}",
+        inst.lost_requests,
+        single.lost_requests
+    );
+}
+
+/// A fleet must reproduce `evaluate_policy` exactly, instance by
+/// instance, for every policy family: a 1-instance fleet per
+/// `(policy, seed)`, and one 9-instance mixed-policy fleet holding all of
+/// them at 1, 2 and 4 shards.
 #[test]
 fn single_instance_fleet_matches_evaluate_policy_exactly() {
     let predictor = trained_predictor();
     let scenario = crashing_scenario();
     let rejuvenation = RejuvenationConfig { horizon_secs: 4.0 * 3600.0, ..Default::default() };
+    let fleet_config = |shards| FleetConfig {
+        shards,
+        rejuvenation,
+        // The counterfactual fork adds an extra diagnostic; it must not
+        // perturb the shared accounting either way, so keep it on for the
+        // comparison.
+        counterfactual_horizon_secs: 3600.0,
+    };
     let policies = [
         (RejuvenationPolicy::Reactive, false),
         (RejuvenationPolicy::TimeBased { interval_secs: 900.0 }, false),
         (RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 }, true),
     ];
+    let mut specs = Vec::new();
+    let mut singles = Vec::new();
     for (policy, needs_predictor) in policies {
         for seed in [1u64, 3, 42] {
             let single = evaluate_policy(
@@ -127,53 +175,22 @@ fn single_instance_fleet_matches_evaluate_policy_exactly() {
                 seed,
             )
             .unwrap();
-            let fleet_config = FleetConfig {
-                shards: 1,
-                rejuvenation,
-                // The counterfactual fork adds an extra diagnostic; it must
-                // not perturb the shared accounting either way, so keep it
-                // on for the comparison.
-                counterfactual_horizon_secs: 3600.0,
-            };
-            let report = Fleet::new(
-                vec![InstanceSpec::new("solo", scenario.clone(), policy, seed)],
-                fleet_config,
-            )
-            .unwrap()
-            .run_with_predictor(&predictor);
-            let inst = &report.instances[0];
-            let ctx = format!("policy {policy:?} seed {seed}");
-            assert_eq!(inst.policy, single.policy, "{ctx}");
-            assert_eq!(inst.crashes, single.crashes, "{ctx}");
-            assert_eq!(inst.rejuvenations, single.rejuvenations, "{ctx}");
-            assert_eq!(
-                inst.horizon_secs.to_bits(),
-                single.horizon_secs.to_bits(),
-                "{ctx}: horizon {} vs {}",
-                inst.horizon_secs,
-                single.horizon_secs
-            );
-            assert_eq!(
-                inst.downtime_secs.to_bits(),
-                single.downtime_secs.to_bits(),
-                "{ctx}: downtime {} vs {}",
-                inst.downtime_secs,
-                single.downtime_secs
-            );
-            assert_eq!(
-                inst.availability.to_bits(),
-                single.availability.to_bits(),
-                "{ctx}: availability {} vs {}",
-                inst.availability,
-                single.availability
-            );
-            assert_eq!(
-                inst.lost_requests.to_bits(),
-                single.lost_requests.to_bits(),
-                "{ctx}: lost work {} vs {}",
-                inst.lost_requests,
-                single.lost_requests
-            );
+            let name = format!("policy{}-seed{seed}", specs.len() / 3);
+            let spec = InstanceSpec::new(name, scenario.clone(), policy, seed);
+            let report = Fleet::new(vec![spec.clone()], fleet_config(1))
+                .unwrap()
+                .run_with_predictor(&predictor);
+            assert_matches_study(&report.instances[0], &single, &format!("solo {}", spec.name));
+            specs.push(spec);
+            singles.push(single);
+        }
+    }
+    for shards in [1usize, 2, 4] {
+        let report =
+            Fleet::new(specs.clone(), fleet_config(shards)).unwrap().run_with_predictor(&predictor);
+        assert_eq!(report.instances.len(), singles.len());
+        for (inst, single) in report.instances.iter().zip(&singles) {
+            assert_matches_study(inst, single, &format!("shards={shards} {}", inst.name));
         }
     }
 }

@@ -244,7 +244,7 @@ impl TelemetrySnapshot {
     }
 
     /// All series of one histogram family merged into a single
-    /// distribution — e.g. the fleet-wide barrier-wait histogram across
+    /// distribution — e.g. the fleet-wide epoch-advance histogram across
     /// per-shard series, ready for [`HistogramSample::p99`].
     #[must_use]
     pub fn histogram_merged(&self, name: &str) -> Option<HistogramSample> {

@@ -108,8 +108,10 @@ pub enum EventKind {
         /// The class the instance left.
         from: String,
     },
-    /// The lock-step epoch barrier completed (leader-emitted, one per
-    /// epoch).
+    /// The fleet's epoch clock passed `epoch`: the first shard completed
+    /// it. Emitted unscoped by the epoch scheduler where the
+    /// `fleet_epochs_total` counter advances — one per epoch, in epoch
+    /// order, so the trace and the counter agree.
     EpochCompleted {
         /// Zero-based epoch index.
         epoch: u64,
@@ -448,7 +450,7 @@ impl FlightRecorder {
 
     /// Dumps the ring as JSONL to stderr, at most once per recorder.
     ///
-    /// Every panic path — a fleet worker, the barrier leader's discovery
+    /// Every panic path — a fleet worker, the scheduler leader's discovery
     /// window, a refit-pool thread — calls this instead of carrying its
     /// own "first panicking thread dumps, siblings skip" flag; the gate
     /// lives here so concurrent paths cannot race each other into a

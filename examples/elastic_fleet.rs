@@ -6,8 +6,8 @@
 //! horizon, founders are force-retired at the halfway mark, and an
 //! autoscale rule tops the live population back up to its floor from a
 //! pool of spare clones. The run rides the event-driven epoch scheduler —
-//! shards advance independently between leader boundaries instead of
-//! meeting at a barrier — and a workload shift a quarter in gives the
+//! shards advance independently between leader boundaries — and a
+//! workload shift a quarter in gives the
 //! adaptive run something to adapt to: the frozen baseline rides out the
 //! shift (and every membership change) on its generation-0 model, the
 //! adaptive run retrains and must land a lower fleet-wide TTF error.

@@ -20,7 +20,7 @@
 //! steady class. `--json` writes both reports (default path
 //! `BENCH_hetero.json`); `--metrics` attaches one telemetry registry to
 //! the routed run (fleet *and* router side), **asserts** the snapshot is
-//! live — non-zero barrier-wait and refit-duration histograms, swap
+//! live — non-zero per-shard epoch-advance and refit-duration histograms, swap
 //! latency once a generation was published, per-class shed counters
 //! summing to the router's drop counter — and writes it (default path
 //! `METRICS_hetero.json`); `--trace` attaches one flight recorder to the
@@ -264,10 +264,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // actually instrumented, not just that a registry existed.
     if let Some(path) = &args.metrics {
         let telemetry = routed.telemetry.as_ref().expect("registry attached");
-        let waits = telemetry.histogram_series("fleet_barrier_wait_seconds");
+        let advances = telemetry.histogram_series("fleet_epoch_advance_seconds");
         assert!(
-            !waits.is_empty() && waits.iter().all(|h| h.count > 0),
-            "every shard records barrier waits"
+            !advances.is_empty() && advances.iter().all(|h| h.count > 0),
+            "every shard records its epoch advances"
         );
         let generations: u64 = stats.classes.iter().map(|c| c.stats.generation).sum();
         let refits: u64 = telemetry
@@ -287,9 +287,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "per-class shed counters must sum to the router's drop counter"
         );
         println!(
-            "telemetry: {} barrier-wait series, {refits} refits timed, {swaps} swaps observed, \
+            "telemetry: {} epoch-advance series, {refits} refits timed, {swaps} swaps observed, \
              {shed} checkpoints shed",
-            waits.len()
+            advances.len()
         );
         write_metrics(path, telemetry)?;
     }

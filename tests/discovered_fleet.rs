@@ -3,7 +3,7 @@
 //! 1. with adaptation frozen (drift disabled in the template), the
 //!    discovered partition — class count, assignment, reassignment
 //!    totals — and every instance outcome are **deterministic across
-//!    shard counts**;
+//!    shard and worker counts**;
 //! 2. a two-regime fleet is separated into pure classes (no instance of
 //!    one regime lands in the other's class);
 //! 3. a stationary fleet is never carved up: no splits, no merges, no
@@ -18,7 +18,8 @@ use software_aging::adapt::{
 };
 use software_aging::core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
 use software_aging::fleet::{
-    DiscoverySetup, Fleet, FleetConfig, FleetError, FleetReport, InstanceSpec, WorkloadShift,
+    DiscoverySetup, Fleet, FleetConfig, FleetError, FleetReport, InstanceSpec, SchedulerConfig,
+    WorkloadShift,
 };
 use software_aging::ml::{LearnerKind, Regressor};
 use software_aging::monitor::FeatureSet;
@@ -100,6 +101,7 @@ struct PartitionFacts {
     reassignments: u64,
     splits: u64,
     merges: u64,
+    evaluations: u64,
 }
 
 fn partition_facts(report: &FleetReport) -> PartitionFacts {
@@ -114,6 +116,7 @@ fn partition_facts(report: &FleetReport) -> PartitionFacts {
         reassignments: discovery.reassignments,
         splits: discovery.splits,
         merges: discovery.merges,
+        evaluations: discovery.evaluations,
     }
 }
 
@@ -121,21 +124,31 @@ fn partition_facts(report: &FleetReport) -> PartitionFacts {
 fn discovered_partition_is_deterministic_across_shard_counts() {
     let features = FeatureSet::exp42();
     let horizon = 4.0 * 3600.0;
-    let run = |shards: usize| {
+    let run = |shards: usize, workers: usize| {
         let specs = unlabelled_specs(9, 6, horizon);
         Fleet::new(specs, fleet_config(horizon, shards))
             .unwrap()
+            .with_scheduler(SchedulerConfig { workers })
             .run_discovered(&frozen_setup(&features, 120), &features)
             .unwrap()
     };
-    let one = run(1);
-    let five = run(5);
+    let one = run(1, 0);
+    let five = run(5, 0);
     assert_eq!(one.instances, five.instances, "sharding must not change discovered outcomes");
     assert_eq!(one.epochs, five.epochs);
     assert_eq!(
         partition_facts(&one),
         partition_facts(&five),
         "the discovered partition must be shard-independent"
+    );
+    // The sequential reference: one worker over the same five shards.
+    let sequential = run(5, 1);
+    assert_eq!(sequential.instances, five.instances, "worker count must not change outcomes");
+    assert_eq!(sequential.epochs, five.epochs);
+    assert_eq!(
+        partition_facts(&sequential),
+        partition_facts(&five),
+        "the discovered partition must be worker-count-independent"
     );
 }
 

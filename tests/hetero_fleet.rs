@@ -7,8 +7,8 @@
 //!    contained class A at all — the shifted class cannot pollute its
 //!    neighbour's model;
 //! 2. a single-class routed run with drift disabled is bit-identical to
-//!    the frozen engine, so the routed path inherits the
-//!    `evaluate_policy` parity chain;
+//!    the frozen engine at every worker count, so the routed path
+//!    inherits the `evaluate_policy` parity chain;
 //! 3. routing is deterministic: same specs and seeds produce identical
 //!    per-class generations and fleet outcomes across different shard
 //!    counts.
@@ -18,7 +18,9 @@ use software_aging::adapt::{
     ServiceClass, ThresholdPolicy,
 };
 use software_aging::core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
-use software_aging::fleet::{Fleet, FleetConfig, FleetReport, InstanceSpec, WorkloadShift};
+use software_aging::fleet::{
+    Fleet, FleetConfig, FleetReport, InstanceSpec, SchedulerConfig, WorkloadShift,
+};
 use software_aging::ml::{LearnerKind, Regressor};
 use software_aging::monitor::FeatureSet;
 use software_aging::testbed::{MemLeakSpec, Scenario};
@@ -244,22 +246,33 @@ fn single_class_routed_run_is_bit_identical_to_the_frozen_engine() {
 
     let frozen = Fleet::new(specs.clone(), config).unwrap().run_with_predictor(&predictor);
 
-    let router = AdaptiveRouter::builder(features.variables().to_vec())
-        .class(
-            ServiceClass::default(),
-            ClassSpec::builder(LearnerKind::M5p.learner(), Arc::new(predictor.model().clone()))
-                .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
-                .build(),
-        )
-        .spawn();
-    let routed = Fleet::new(specs, config).unwrap().run_routed(&router, &features).unwrap();
-    let stats = router.shutdown();
+    // Default pool (one worker per shard) and the sequential 1-worker pool.
+    for workers in [0, 1] {
+        let router = AdaptiveRouter::builder(features.variables().to_vec())
+            .class(
+                ServiceClass::default(),
+                ClassSpec::builder(LearnerKind::M5p.learner(), Arc::new(predictor.model().clone()))
+                    .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
+                    .build(),
+            )
+            .spawn();
+        let routed = Fleet::new(specs.clone(), config)
+            .unwrap()
+            .with_scheduler(SchedulerConfig { workers })
+            .run_routed(&router, &features)
+            .unwrap();
+        let stats = router.shutdown();
 
-    assert_eq!(stats.generations_published, 0);
-    assert_bit_identical(&frozen, &routed, "single-class routed vs frozen");
-    let routing = routed.routing.expect("routed runs carry per-class stats");
-    assert_eq!(routing.classes.len(), 1);
-    assert_eq!(routing.dropped_checkpoints, 0, "the bounded bus must keep up here");
+        assert_eq!(stats.generations_published, 0);
+        assert_bit_identical(
+            &frozen,
+            &routed,
+            &format!("single-class routed ({workers} workers) vs frozen"),
+        );
+        let routing = routed.routing.expect("routed runs carry per-class stats");
+        assert_eq!(routing.classes.len(), 1);
+        assert_eq!(routing.dropped_checkpoints, 0, "the bounded bus must keep up here");
+    }
 }
 
 /// The self-tuning acceptance (ISSUE 4): with `QuantileAdaptive`, a
