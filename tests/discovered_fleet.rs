@@ -247,3 +247,62 @@ fn run_routed_fails_fast_on_an_unregistered_class() {
     assert_eq!(stats.unrouted_checkpoints, 0, "nothing may have been published, let alone lost");
     assert_eq!(stats.ingested_checkpoints, 0);
 }
+
+/// The routed path and the discovered path are one engine: a discovered
+/// run whose partition never splits (drift disabled, stationary fleet) is
+/// bit-identical to a routed run on a one-class router serving the seed
+/// class `discovered-0` under the same spec — same report, same
+/// per-instance downtime and TTF-error sums, same checkpoints ingested by
+/// the learning side.
+#[test]
+fn routed_run_equals_a_discovered_run_that_never_splits() {
+    let features = FeatureSet::exp42();
+    let horizon = 3.0 * 3600.0;
+    let scenario = leaky("steady-leak", 100, 30);
+    let specs: Vec<InstanceSpec> = (0..10)
+        .map(|i| InstanceSpec::new(format!("svc-{i:02}"), scenario.clone(), POLICY, 40 + i as u64))
+        .collect();
+    let setup = frozen_setup(&features, 120);
+    let seed = ServiceClass::new("discovered-0");
+    for (shards, workers) in [(1, 0), (3, 0), (3, 1), (4, 2)] {
+        let discovered = Fleet::new(specs.clone(), fleet_config(horizon, shards))
+            .unwrap()
+            .with_scheduler(SchedulerConfig { workers })
+            .run_discovered(&setup, &features)
+            .unwrap();
+        let partition = discovered.discovery.as_ref().unwrap();
+        assert_eq!(partition.splits, 0, "the oracle needs a partition that never splits");
+
+        let router = AdaptiveRouter::builder(features.variables().to_vec())
+            .class(seed.clone(), setup.template.clone())
+            .config(RouterConfig::builder().retrainer_threads(2).build())
+            .spawn();
+        let labelled: Vec<InstanceSpec> =
+            specs.iter().map(|s| s.clone().with_class(seed.clone())).collect();
+        let routed = Fleet::new(labelled, fleet_config(horizon, shards))
+            .unwrap()
+            .with_scheduler(SchedulerConfig { workers })
+            .run_routed(&router, &features)
+            .unwrap();
+        router.quiesce(std::time::Duration::from_secs(60));
+        let routed_stats = router.shutdown();
+
+        let label = format!("{shards} shards, {workers} workers");
+        assert_eq!(routed, discovered, "{label}: reports must be equal");
+        for (r, d) in routed.instances.iter().zip(&discovered.instances) {
+            assert_eq!(r.downtime_secs.to_bits(), d.downtime_secs.to_bits(), "{label}");
+            assert_eq!(r.ttf_error_sum_secs.to_bits(), d.ttf_error_sum_secs.to_bits(), "{label}");
+        }
+        let discovered_stats = discovered.routing.as_ref().unwrap();
+        assert_eq!(
+            routed_stats.ingested_checkpoints, discovered_stats.ingested_checkpoints,
+            "{label}: the learning side must see the same stream"
+        );
+        eprintln!(
+            "{label}: {} checkpoints, {} ingested, {} generations",
+            routed.checkpoints,
+            routed_stats.ingested_checkpoints,
+            routed_stats.classes[0].stats.generation
+        );
+    }
+}
