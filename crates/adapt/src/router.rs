@@ -979,6 +979,17 @@ impl AdaptiveRouter {
         table.index.get(class).map(|&i| Arc::clone(&table.classes[i].service))
     }
 
+    /// The spec one class currently runs under — its registration spec, or
+    /// the latest one [`AdaptiveRouter::apply_spec`] swapped in — or `None`
+    /// when the class was never registered. Looked up by slot, so a
+    /// retired class still answers with its own spec.
+    pub fn class_spec(&self, class: &ServiceClass) -> Option<ClassSpec> {
+        let table = self.shared.table.read().expect("class table poisoned");
+        let entry = table.classes.iter().find(|c| &c.class == class)?;
+        let spec = entry.spec.read().expect("spec lock poisoned").clone();
+        Some(spec)
+    }
+
     /// The registered classes, in registration order (retired included).
     pub fn classes(&self) -> Vec<ServiceClass> {
         let table = self.shared.table.read().expect("class table poisoned");

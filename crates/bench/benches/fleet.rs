@@ -93,7 +93,7 @@ fn bench_fleet_throughput(c: &mut Criterion) {
                     counterfactual_horizon_secs: 0.0,
                 };
                 let fleet = Fleet::uniform(&scenario, policy, instances, 7_000, config).unwrap();
-                black_box(fleet.run_with_predictor(&predictor))
+                black_box(fleet.run(predictor.model(), predictor.features()))
             })
         });
     }
@@ -117,7 +117,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.bench_function("noop_recorder_100instances", |b| {
         b.iter(|| {
             let fleet = Fleet::uniform(&scenario, policy, 100, 7_000, config).unwrap();
-            black_box(fleet.run_with_predictor(&predictor))
+            black_box(fleet.run(predictor.model(), predictor.features()))
         })
     });
     // Instrumented: a fresh live registry per iteration (matching what
@@ -128,7 +128,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
             let fleet = Fleet::uniform(&scenario, policy, 100, 7_000, config)
                 .unwrap()
                 .with_telemetry(Registry::shared());
-            black_box(fleet.run_with_predictor(&predictor))
+            black_box(fleet.run(predictor.model(), predictor.features()))
         })
     });
     // Traced: a fresh live flight recorder per iteration (matching what
@@ -138,7 +138,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
             let fleet = Fleet::uniform(&scenario, policy, 100, 7_000, config)
                 .unwrap()
                 .with_trace(FlightRecorder::shared());
-            black_box(fleet.run_with_predictor(&predictor))
+            black_box(fleet.run(predictor.model(), predictor.features()))
         })
     });
     // Both instruments live at once — the configuration CI's smoke runs
@@ -149,7 +149,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                 .unwrap()
                 .with_telemetry(Registry::shared())
                 .with_trace(FlightRecorder::shared());
-            black_box(fleet.run_with_predictor(&predictor))
+            black_box(fleet.run(predictor.model(), predictor.features()))
         })
     });
     group.finish();

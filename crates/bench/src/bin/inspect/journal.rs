@@ -1,24 +1,15 @@
-//! Validates checkpoint-journal directories: every segment must open,
-//! every complete frame must pass its CRC and decode, and sequence
-//! numbers must be strictly monotone across the whole log. A torn tail
+//! `inspect journal`: validates checkpoint-journal directories. Every
+//! segment must open, every complete frame must pass its CRC and decode,
+//! and sequence numbers must be strictly monotone across the whole log. A torn tail
 //! on the newest segment — the expected residue of a crash mid-append —
 //! is tolerated and reported, never an error; corruption anywhere else
 //! fails the check, because replaying past it would silently restore the
 //! wrong state.
-//!
-//! ```text
-//! cargo run --release -p aging-bench --bin check_journal -- JOURNAL_DIR …
-//! ```
-//!
-//! Exits non-zero on the first bad directory; CI runs it over the
-//! journal the example smoke runs (and the kill-and-restart smoke) leave
-//! behind.
 
 use aging_journal::{Journal, JournalRecord, MembershipFold};
-use std::process::ExitCode;
 
 /// Checks one journal directory; returns a short summary line on success.
-fn check(dir: &str) -> Result<String, String> {
+pub(crate) fn check(dir: &str) -> Result<String, String> {
     let outcome = Journal::read(dir).map_err(|e| e.to_string())?;
     let mut last_seq: Option<u64> = None;
     let mut batches = 0u64;
@@ -63,29 +54,6 @@ fn check(dir: &str) -> Result<String, String> {
         outcome.segments,
         outcome.truncated_bytes,
     ))
-}
-
-fn main() -> ExitCode {
-    let dirs: Vec<String> = std::env::args().skip(1).collect();
-    if dirs.is_empty() {
-        eprintln!("usage: check_journal JOURNAL_DIR …");
-        return ExitCode::FAILURE;
-    }
-    let mut failed = false;
-    for dir in &dirs {
-        match check(dir) {
-            Ok(summary) => println!("{dir}: OK — {summary}"),
-            Err(e) => {
-                eprintln!("{dir}: FAILED — {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 #[cfg(test)]

@@ -1,36 +1,18 @@
-//! Validates `TRACE_*.json` flight-recorder artifacts: each file must be
-//! valid Chrome trace-event JSON (the object form with a `traceEvents`
-//! array), every non-metadata entry must carry the event envelope
-//! (`ph`/`ts`/`pid`/`tid`/`name` and `args.seq`), sequence numbers must be
-//! strictly monotone in file order, and every non-root `args.parent` must
-//! resolve to an already-seen seq — unless the ring overflowed
-//! (`droppedEvents > 0`), in which case a parent may be gone but must
-//! still point strictly backwards.
-//!
-//! ```text
-//! cargo run --release -p aging-bench --bin check_trace -- TRACE_*.json
-//! ```
-//!
-//! Exits non-zero on the first malformed file; CI runs it over every
-//! trace the example smoke runs emit.
+//! `inspect trace`: validates `TRACE_*.json` flight-recorder artifacts.
+//! Each file must be valid Chrome trace-event JSON (the object form with
+//! a `traceEvents` array), every non-metadata entry must carry the event
+//! envelope (`ph`/`ts`/`pid`/`tid`/`name` and `args.seq`), sequence
+//! numbers must be strictly monotone in file order, and every non-root
+//! `args.parent` must resolve to an already-seen seq — unless the ring
+//! overflowed (`droppedEvents > 0`), in which case a parent may be gone
+//! but must still point strictly backwards.
 
+use super::{field, u64_field};
 use serde::Value;
 use std::collections::HashSet;
-use std::process::ExitCode;
-
-fn field<'a>(entry: &'a Value, name: &str) -> Option<&'a Value> {
-    entry.as_obj()?.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn u64_field(entry: &Value, name: &str) -> Option<u64> {
-    match field(entry, name) {
-        Some(Value::U64(n)) => Some(*n),
-        _ => None,
-    }
-}
 
 /// Checks one artifact; returns a short summary line on success.
-fn check(text: &str) -> Result<String, String> {
+pub(crate) fn check(text: &str) -> Result<String, String> {
     let root = serde::parse_value(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let entries = match field(&root, "traceEvents") {
         Some(Value::Arr(entries)) => entries,
@@ -95,29 +77,6 @@ fn check(text: &str) -> Result<String, String> {
         }
     }
     Ok(format!("{events} events ({durations} duration spans), {dropped} dropped"))
-}
-
-fn main() -> ExitCode {
-    let paths: Vec<String> = std::env::args().skip(1).collect();
-    if paths.is_empty() {
-        eprintln!("usage: check_trace TRACE_*.json …");
-        return ExitCode::FAILURE;
-    }
-    let mut failed = false;
-    for path in &paths {
-        match std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|t| check(&t)) {
-            Ok(summary) => println!("{path}: OK — {summary}"),
-            Err(e) => {
-                eprintln!("{path}: FAILED — {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 #[cfg(test)]

@@ -1,45 +1,13 @@
-//! Validates `TUNE_*.json` policy-search artifacts: the per-class
-//! candidate trail must show a monotone non-increasing incumbent-best
-//! objective (the search never forgets its best), and every recorded
-//! promotion must clear the configured promotion margin — a candidate
-//! objective strictly below `incumbent × (1 − min_improvement)`. A class
-//! flagged `promoted` must itself beat its starting incumbent by that
-//! margin.
-//!
-//! ```text
-//! cargo run --release -p aging-bench --bin check_tune -- TUNE_*.json
-//! ```
-//!
-//! Exits non-zero on the first malformed file; CI runs it over the
-//! artifact the `tuned_fleet` example smoke leaves behind.
+//! `inspect tune`: validates `TUNE_*.json` policy-search artifacts. The
+//! per-class candidate trail must show a monotone non-increasing
+//! incumbent-best objective (the search never forgets its best), and
+//! every recorded promotion must clear the configured promotion margin —
+//! a candidate objective strictly below `incumbent × (1 − min_improvement)`.
+//! A class flagged `promoted` must itself beat its starting incumbent by
+//! that margin.
 
+use super::{bool_field, f64_field, field};
 use serde::Value;
-use std::process::ExitCode;
-
-fn field<'a>(entry: &'a Value, name: &str) -> Option<&'a Value> {
-    entry.as_obj()?.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-/// Numeric field as `f64`; `null` (an unscoreable objective) maps to
-/// `None`, a missing field is the caller's problem.
-fn f64_field(entry: &Value, name: &str) -> Result<Option<f64>, String> {
-    match field(entry, name) {
-        Some(Value::F64(x)) => Ok(Some(*x)),
-        Some(Value::U64(n)) => Ok(Some(*n as f64)),
-        Some(Value::I64(n)) => Ok(Some(*n as f64)),
-        Some(Value::Null) => Ok(None),
-        Some(other) => Err(format!("{name} must be a number or null, got {}", other.kind())),
-        None => Err(format!("missing {name}")),
-    }
-}
-
-fn bool_field(entry: &Value, name: &str) -> Result<bool, String> {
-    match field(entry, name) {
-        Some(Value::Bool(b)) => Ok(*b),
-        Some(other) => Err(format!("{name} must be a bool, got {}", other.kind())),
-        None => Err(format!("missing {name}")),
-    }
-}
 
 /// `None` objectives are unscoreable — order them as `+∞`.
 fn as_objective(value: Option<f64>) -> f64 {
@@ -116,7 +84,7 @@ fn check_class(class: &Value, min_improvement: f64) -> Result<(u64, u64), String
 }
 
 /// Checks one artifact; returns a short summary line on success.
-fn check(text: &str) -> Result<String, String> {
+pub(crate) fn check(text: &str) -> Result<String, String> {
     let root = serde::parse_value(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let min_improvement =
         f64_field(&root, "min_improvement")?.ok_or("min_improvement must not be null")?;
@@ -139,31 +107,6 @@ fn check(text: &str) -> Result<String, String> {
         "{} classes, {candidates} candidates, {promotions} promotions, margin {min_improvement}",
         classes.len(),
     ))
-}
-
-fn main() -> ExitCode {
-    let files: Vec<String> = std::env::args().skip(1).collect();
-    if files.is_empty() {
-        eprintln!("usage: check_tune TUNE_FILE.json …");
-        return ExitCode::FAILURE;
-    }
-    let mut failed = false;
-    for file in &files {
-        let verdict =
-            std::fs::read_to_string(file).map_err(|e| e.to_string()).and_then(|text| check(&text));
-        match verdict {
-            Ok(summary) => println!("{file}: OK — {summary}"),
-            Err(e) => {
-                eprintln!("{file}: FAILED — {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 #[cfg(test)]

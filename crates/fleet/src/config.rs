@@ -1,7 +1,7 @@
 //! Fleet configuration and per-instance specifications.
 
 use aging_adapt::discovery::{DiscoveryConfig, SignatureConfig};
-use aging_adapt::{ClassSpec, RouterConfig, ServiceClass};
+use aging_adapt::ServiceClass;
 use aging_core::{RejuvenationConfig, RejuvenationPolicy};
 use aging_testbed::Scenario;
 use serde::{Deserialize, Serialize};
@@ -99,24 +99,19 @@ impl Default for FleetConfig {
     }
 }
 
-/// Everything a [`crate::Fleet::run_discovered`] run needs besides the
-/// fleet itself: how each discovered class adapts, how signatures are
-/// summarised, how the partition is re-evaluated, and how often.
+/// Class discovery for a live run, attached with
+/// [`crate::Fleet::with_discovery`]: how signatures are summarised, how the
+/// partition is re-evaluated, and how often.
 ///
 /// The fleet starts with **zero operator-assigned classes**: every
-/// instance begins in the seed class `discovered-0`, served by
-/// `template.initial`. At every reassessment boundary the discovery
-/// engine clusters the instances' aging signatures; new classes spawn a
-/// fresh adaptation pipeline from `template` (inheriting the nearest
-/// centroid's currently published model as generation 0), and retired
-/// classes drain their training buffer into their merge target.
+/// instance begins in the router's one class, the *seed*. At every
+/// reassessment boundary the discovery engine clusters the instances'
+/// aging signatures; new classes register on the router with the seed's
+/// current [`aging_adapt::ClassSpec`] (inheriting the nearest centroid's
+/// published model as generation 0), and retired classes drain their
+/// training buffer into their merge target.
 #[derive(Debug, Clone)]
 pub struct DiscoverySetup {
-    /// Learner, adaptation config and threshold policy every discovered
-    /// class runs with; `template.initial` seeds `discovered-0`.
-    pub template: ClassSpec,
-    /// Router-wide tuning (retrainer pool, bus capacity).
-    pub router: RouterConfig,
     /// Partition engine tuning (split/merge gates, seed).
     pub discovery: DiscoveryConfig,
     /// Per-instance aging-signature tuning.
@@ -127,14 +122,11 @@ pub struct DiscoverySetup {
     pub reassess_every_epochs: u64,
 }
 
-impl DiscoverySetup {
-    /// A setup with the default discovery/signature/router tuning and a
-    /// reassessment every 240 fleet epochs (one simulated hour of 15 s
-    /// checkpoints).
-    pub fn new(template: ClassSpec) -> Self {
+impl Default for DiscoverySetup {
+    /// The default discovery and signature tuning, with a reassessment
+    /// every 240 fleet epochs (one simulated hour of 15 s checkpoints).
+    fn default() -> Self {
         DiscoverySetup {
-            template,
-            router: RouterConfig::default(),
             discovery: DiscoveryConfig::default(),
             signature: SignatureConfig::default(),
             reassess_every_epochs: 240,

@@ -14,14 +14,14 @@ use crate::report::{
 use crate::scheduler::{run_elastic, ElasticArgs, SchedulerConfig};
 use crate::shard::{Shard, ShardInstruments};
 use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator};
-use aging_adapt::{AdaptiveRouter, CheckpointBus, ClassSpec, ModelService, ServiceClass};
-use aging_core::{AgingPredictor, RejuvenationPolicy};
+use aging_adapt::{AdaptiveRouter, CheckpointBus, ModelService, ServiceClass};
+use aging_core::RejuvenationPolicy;
 use aging_journal::{Journal, JournalRecord};
 use aging_ml::Regressor;
 use aging_monitor::FeatureSet;
 use aging_obs::{
-    trace_of, CounterHandle, EventKind, EventScope, FlightRecorder, GaugeHandle, HistogramHandle,
-    Recorder, Registry, TraceHandle, Unit,
+    recorder_of, trace_of, CounterHandle, EventKind, EventScope, FlightRecorder, GaugeHandle,
+    HistogramHandle, Recorder, Registry, TraceHandle, Unit,
 };
 use aging_testbed::Scenario;
 use aging_tune::FleetTuner;
@@ -34,58 +34,117 @@ use std::time::{Duration, Instant};
 /// Where the worker threads get their models from.
 ///
 /// A frozen binding serves one `&dyn Regressor` for the whole run (the
-/// original engine behaviour, bit-exact with `evaluate_policy`). A routed
-/// binding holds one [`ModelService`] **per class** (indexed by the
-/// fleet's class table). Live bindings have each worker *pin* its model
-/// snapshots per epoch — polling a generation counter costs one atomic
-/// load per class — and re-pin at the next epoch boundary after a
-/// publish, so one epoch's batch is always served by exactly one
-/// generation per class.
+/// original engine behaviour, bit-exact with `evaluate_policy`). A live
+/// binding serves from a router's class table, one [`ModelService`] per
+/// class: each worker *pins* its model snapshots per epoch — polling a
+/// generation counter costs one atomic load per class — and re-pins at
+/// the next epoch boundary after a publish, so one epoch's batch is always
+/// served by exactly one generation per class.
 pub(crate) enum ModelBinding<'a> {
     Frozen(&'a dyn Regressor),
-    Routed(Vec<Arc<ModelService>>),
-    /// Class-discovery runs: the class table grows mid-run, so workers
-    /// sync their pins from the shared runtime at epoch boundaries.
-    Discovered(&'a DiscoveryRuntime<'a>),
+    Live(&'a LiveTable<'a>),
 }
 
-/// Discovery-side telemetry, resolved once per run. All handles are
+impl<'a> ModelBinding<'a> {
+    /// The discovery state of a live run with discovery attached.
+    pub(crate) fn discovery(&self) -> Option<&'a Discovery<'a>> {
+        match *self {
+            ModelBinding::Live(table) => table.discovery.as_ref(),
+            ModelBinding::Frozen(_) => None,
+        }
+    }
+}
+
+/// The class table of a live run ([`Fleet::run_routed`]): the serving side
+/// of every class, the class of every roster slot, and — with discovery
+/// attached — the state that re-partitions the fleet.
+///
+/// A routed run builds the table from its spec classes and never changes
+/// it. A discovering run starts from the router's one seed class; the
+/// scheduler's leader task re-evaluates the partition once every shard is
+/// parked at a reassessment boundary (the only single-threaded window of
+/// the epoch protocol) and publishes the new assignment through `version`.
+/// Every shard applies it at the top of its next epoch — so an instance's
+/// class, like its model snapshot, is pinned within an epoch.
+pub(crate) struct LiveTable<'a> {
+    /// `(class name, serving side)` per class id. Append-only — retired
+    /// classes keep their slot so worker pins stay aligned.
+    pub(crate) classes: RwLock<Vec<(ServiceClass, Arc<ModelService>)>>,
+    /// Current class id per roster slot. Elastic runs size this for the
+    /// *potential* roster, so membership changes never reallocate it.
+    pub(crate) assignment: Vec<AtomicUsize>,
+    /// Bumped after every discovery step; workers re-sync when it moves.
+    pub(crate) version: AtomicU64,
+    /// Discovery-only state; `None` for a routed run.
+    pub(crate) discovery: Option<Discovery<'a>>,
+}
+
+/// The state a discovering run adds to its [`LiveTable`].
+pub(crate) struct Discovery<'a> {
+    router: &'a AdaptiveRouter,
+    /// The router's one class when the run started: every instance begins
+    /// in it, and every split registers its current spec.
+    seed: ServiceClass,
+    pub(crate) setup: DiscoverySetup,
+    /// Durable journal: each discovery step appends the partition it
+    /// just published, so a replay can restore the assignment alongside
+    /// the learned state. `None` without [`Fleet::with_journal`].
+    journal: Option<Arc<Journal>>,
+    /// Instance names in roster order — the identifiers the journalled
+    /// partition pairs with class names.
+    instance_names: Vec<String>,
+    /// Latest signature per roster slot, refreshed at reassessment
+    /// boundaries; slots of instances that never join stay `None`.
+    pub(crate) signatures: Vec<Mutex<Option<Vec<f64>>>>,
+    /// Provisioned population: instances that joined minus instances
+    /// churn-retired. The min-ready-fraction gate of every discovery
+    /// evaluation is computed against this *live* count, not the slot
+    /// count — a half-empty roster of potential autoscale spawns must not
+    /// starve the gate. Natural horizon ageing does **not** decrement it
+    /// (dead instances keep their signatures and kept counting before
+    /// elasticity, bit-compatibly).
+    pub(crate) population: AtomicUsize,
+    engine: Mutex<ClassDiscovery>,
+    reassignments: AtomicU64,
+    /// Per-evaluation timeline, folded into the final report.
+    log: Mutex<Vec<DiscoveryEvaluation>>,
+    /// Leader-side discovery telemetry; disabled handles without a
+    /// registry.
+    instruments: DiscoveryInstruments,
+    /// Trace sink for evaluation/split/merge/reassignment events;
+    /// disabled when tracing is off.
+    trace: TraceHandle,
+}
+
+/// Discovery-side telemetry, resolved once per run (the metric names and
+/// meanings are in [`DiscoveryInstruments::resolve`]). All handles are
 /// disabled (one untaken branch per use) when no registry is attached.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DiscoveryInstruments {
-    /// `discovery_evaluation_seconds` — wall time of one leader-side
-    /// partition re-evaluation (clustering + router bookkeeping).
     evaluation: HistogramHandle,
-    /// `discovery_silhouette` — silhouette score of the latest accepted
-    /// partition.
     silhouette: GaugeHandle,
-    /// `discovery_splits_total` — classes spawned by silhouette-gated
-    /// splits.
     splits: CounterHandle,
-    /// `discovery_merges_total` — classes retired by merges.
     merges: CounterHandle,
-    /// `discovery_reassignments_total` — instances re-routed to another
-    /// class.
     reassignments: CounterHandle,
 }
 
 impl DiscoveryInstruments {
-    fn resolve(registry: &Registry) -> Self {
+    fn resolve(recorder: &dyn Recorder) -> Self {
         DiscoveryInstruments {
-            evaluation: registry.histogram(
+            evaluation: recorder.histogram(
                 "discovery_evaluation_seconds",
                 "Wall time of one class-discovery partition re-evaluation",
                 Unit::Seconds,
             ),
-            silhouette: registry.gauge(
+            silhouette: recorder.gauge(
                 "discovery_silhouette",
                 "Silhouette score of the latest class-discovery evaluation",
             ),
-            splits: registry
+            splits: recorder
                 .counter("discovery_splits_total", "Classes spawned by discovery splits"),
-            merges: registry
+            merges: recorder
                 .counter("discovery_merges_total", "Classes retired by discovery merges"),
-            reassignments: registry.counter(
+            reassignments: recorder.counter(
                 "discovery_reassignments_total",
                 "Instances re-routed to another discovered class",
             ),
@@ -100,58 +159,7 @@ impl DiscoveryInstruments {
 #[cfg(test)]
 pub(crate) static DISCOVERY_PANIC_AT: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// Shared coordination state of a [`Fleet::run_discovered`] run.
-///
-/// Shard tasks write instance signatures when they complete a
-/// reassessment epoch; the scheduler's leader task re-evaluates the
-/// partition once every shard is parked at the boundary (the only
-/// single-threaded window of the epoch protocol) and publishes the new
-/// assignment through `version`; every shard applies it at the top of its
-/// next epoch — so an instance's class, like its model snapshot, is
-/// pinned within an epoch.
-pub(crate) struct DiscoveryRuntime<'a> {
-    router: &'a AdaptiveRouter,
-    pub(crate) setup: &'a DiscoverySetup,
-    /// Durable journal: each discovery step appends the partition it
-    /// just published, so a replay can restore the assignment alongside
-    /// the learned state. `None` without [`Fleet::with_journal`].
-    journal: Option<Arc<Journal>>,
-    /// Instance names in spec order — the identifiers the journalled
-    /// partition pairs with class names.
-    instance_names: Vec<String>,
-    /// The fleet-side class table, indexed by discovery class id:
-    /// `(class name, serving side)`. Append-only — retired classes keep
-    /// their slot so worker pins stay aligned.
-    pub(crate) classes: RwLock<Vec<(ServiceClass, Arc<ModelService>)>>,
-    /// Current class id per instance (roster order).
-    pub(crate) assignment: Vec<AtomicUsize>,
-    /// Latest signature per instance (roster order), refreshed at
-    /// reassessment boundaries. Elastic runs size this for the *potential*
-    /// roster; slots of instances that never join stay `None`.
-    pub(crate) signatures: Vec<Mutex<Option<Vec<f64>>>>,
-    /// Provisioned population: instances that joined minus instances
-    /// churn-retired. The min-ready-fraction gate of every discovery
-    /// evaluation is computed against this *live* count, not the slot
-    /// count — a half-empty roster of potential autoscale spawns must not
-    /// starve the gate. Natural horizon ageing does **not** decrement it
-    /// (dead instances keep their signatures and kept counting before
-    /// elasticity, bit-compatibly).
-    pub(crate) population: AtomicUsize,
-    discovery: Mutex<ClassDiscovery>,
-    reassignments: AtomicU64,
-    /// Per-evaluation timeline, folded into the final report.
-    log: Mutex<Vec<DiscoveryEvaluation>>,
-    /// Bumped after every discovery step; workers re-sync when it moves.
-    pub(crate) version: AtomicU64,
-    /// Leader-side discovery telemetry; disabled handles without a
-    /// registry.
-    instruments: DiscoveryInstruments,
-    /// Trace sink for evaluation/split/merge/reassignment events;
-    /// disabled when tracing is off.
-    trace: TraceHandle,
-}
-
-impl DiscoveryRuntime<'_> {
+impl LiveTable<'_> {
     /// One partition re-evaluation, run in the single-threaded leader
     /// window: the scheduled leader task, with every shard parked at the
     /// boundary. `epochs_done` is the number of completed fleet epochs.
@@ -160,22 +168,23 @@ impl DiscoveryRuntime<'_> {
         if epochs_done == DISCOVERY_PANIC_AT.load(Ordering::Relaxed) {
             panic!("synthetic discovery panic at epoch {epochs_done}");
         }
-        let evaluation_span = self.instruments.evaluation.span();
-        let signatures: Vec<Option<Vec<f64>>> = self
+        let d = self.discovery.as_ref().expect("only discovering runs reassess");
+        let evaluation_span = d.instruments.evaluation.span();
+        let signatures: Vec<Option<Vec<f64>>> = d
             .signatures
             .iter()
             .map(|m| m.lock().expect("signature slot poisoned").clone())
             .collect();
         let ready = signatures.iter().filter(|s| s.is_some()).count();
-        let outcome = self
-            .discovery
+        let outcome = d
+            .engine
             .lock()
             .expect("discovery engine poisoned")
-            .evaluate_with_population(&signatures, self.population.load(Ordering::Relaxed));
-        self.instruments.silhouette.set(outcome.silhouette);
-        self.instruments.splits.add(outcome.new_classes.len() as u64);
-        self.instruments.merges.add(outcome.retired.len() as u64);
-        let evaluated = self.trace.emit(
+            .evaluate_with_population(&signatures, d.population.load(Ordering::Relaxed));
+        d.instruments.silhouette.set(outcome.silhouette);
+        d.instruments.splits.add(outcome.new_classes.len() as u64);
+        d.instruments.merges.add(outcome.retired.len() as u64);
+        let evaluated = d.trace.emit(
             EventScope::root(),
             EventKind::DiscoveryEvaluated {
                 silhouette: outcome.silhouette,
@@ -189,24 +198,24 @@ impl DiscoveryRuntime<'_> {
         if !outcome.new_classes.is_empty() {
             let mut classes = self.classes.write().expect("class table poisoned");
             for nc in &outcome.new_classes {
-                // Inherit the nearest centroid's currently *published*
-                // model as generation 0 — the best prior the fleet has
-                // for a regime that just split off.
-                let (initial, seeded_from) = match nc.seeded_from {
-                    Some(src) => (classes[src].1.snapshot().model, classes[src].0.to_string()),
-                    None => (Arc::clone(&self.setup.template.initial), "template".to_string()),
+                // The seed's current spec, with the nearest centroid's
+                // currently *published* model as generation 0 — the best
+                // prior the fleet has for a regime that just split off.
+                let mut spec = d.router.class_spec(&d.seed).expect("the seed class is registered");
+                let seeded_from = match nc.seeded_from {
+                    Some(src) => {
+                        spec.initial = classes[src].1.snapshot().model;
+                        classes[src].0.to_string()
+                    }
+                    None => d.seed.to_string(),
                 };
                 let name = ServiceClass::new(format!("discovered-{}", nc.id));
-                let spec = ClassSpec::builder(Arc::clone(&self.setup.template.learner), initial)
-                    .config(self.setup.template.config)
-                    .policy(Arc::clone(&self.setup.template.policy))
-                    .build();
-                let service = self
+                let service = d
                     .router
                     .register_class(name.clone(), spec)
                     .expect("discovery ids are unique for the router's lifetime");
                 assert_eq!(classes.len(), nc.id, "class table must align with discovery ids");
-                let _ = self.trace.emit(
+                let _ = d.trace.emit(
                     EventScope::root().class(name.as_str()).parent(evaluated),
                     EventKind::ClassSplit { seeded_from },
                 );
@@ -226,11 +235,11 @@ impl DiscoveryRuntime<'_> {
             };
             if next != current {
                 self.assignment[i].store(next, Ordering::Relaxed);
-                self.reassignments.fetch_add(1, Ordering::Relaxed);
-                self.instruments.reassignments.inc();
-                if self.trace.enabled() {
+                d.reassignments.fetch_add(1, Ordering::Relaxed);
+                d.instruments.reassignments.inc();
+                if d.trace.enabled() {
                     let classes = self.classes.read().expect("class table poisoned");
-                    let _ = self.trace.emit(
+                    let _ = d.trace.emit(
                         EventScope::root().class(classes[next].0.as_str()).parent(evaluated),
                         EventKind::ClassReassigned {
                             instance: i as u64,
@@ -248,8 +257,8 @@ impl DiscoveryRuntime<'_> {
             for r in &outcome.retired {
                 let (from, _) = &classes[r.id];
                 let (into, _) = &classes[r.into];
-                self.router.retire_class(from, into).expect("both classes are registered");
-                let _ = self.trace.emit(
+                d.router.retire_class(from, into).expect("both classes are registered");
+                let _ = d.trace.emit(
                     EventScope::root().class(from.as_str()).parent(evaluated),
                     EventKind::ClassMerged { into: into.to_string() },
                 );
@@ -258,12 +267,12 @@ impl DiscoveryRuntime<'_> {
         self.version.fetch_add(1, Ordering::Release);
 
         // Journal the partition the fleet runs under from the next epoch:
-        // `(instance, class)` pairs in spec order. An append failure is
+        // `(instance, class)` pairs in roster order. An append failure is
         // reported but not fatal — the partition regenerates on replay by
         // re-running discovery, the record just short-circuits that.
-        if let Some(journal) = &self.journal {
+        if let Some(journal) = &d.journal {
             let classes = self.classes.read().expect("class table poisoned");
-            let assignment = self
+            let assignment = d
                 .instance_names
                 .iter()
                 .enumerate()
@@ -284,7 +293,7 @@ impl DiscoveryRuntime<'_> {
 
         // Timeline entry: what this evaluation decided, plus a live
         // snapshot of each class's adaptation counters.
-        let stats = self.router.stats();
+        let stats = d.router.stats();
         let classes = self.classes.read().expect("class table poisoned");
         let entry = DiscoveryEvaluation {
             epoch: epochs_done,
@@ -297,7 +306,7 @@ impl DiscoveryRuntime<'_> {
                 .map(|nc| classes[nc.id].0.to_string())
                 .collect(),
             retired_classes: outcome.retired.iter().map(|r| classes[r.id].0.to_string()).collect(),
-            reassignments: self.reassignments.load(Ordering::Relaxed),
+            reassignments: d.reassignments.load(Ordering::Relaxed),
             class_drift_events: stats
                 .classes
                 .iter()
@@ -310,37 +319,39 @@ impl DiscoveryRuntime<'_> {
                 .collect(),
         };
         drop(classes);
-        self.log.lock().expect("log poisoned").push(entry);
+        d.log.lock().expect("log poisoned").push(entry);
         evaluation_span.finish();
     }
 
-    /// The final discovery report (after the run has joined).
-    fn report(&self, n_instances: usize) -> DiscoveryReport {
+    /// The final discovery report (after the run has joined), or `None`
+    /// for a routed run.
+    fn discovery_report(&self, n_instances: usize) -> Option<DiscoveryReport> {
+        let d = self.discovery.as_ref()?;
         let classes = self.classes.read().expect("class table poisoned");
-        let discovery = self.discovery.lock().expect("discovery engine poisoned");
+        let engine = d.engine.lock().expect("discovery engine poisoned");
         let assignment: Vec<usize> =
             (0..n_instances).map(|i| self.assignment[i].load(Ordering::Relaxed)).collect();
         let mut members = vec![0usize; classes.len()];
         for &id in &assignment {
             members[id] += 1;
         }
-        DiscoveryReport {
+        Some(DiscoveryReport {
             classes: classes
                 .iter()
                 .enumerate()
                 .map(|(id, (name, _))| DiscoveredClass {
                     class: name.to_string(),
                     members: members[id],
-                    retired: discovery.is_retired(id),
+                    retired: engine.is_retired(id),
                 })
                 .collect(),
-            evaluations_log: self.log.lock().expect("log poisoned").clone(),
+            evaluations_log: d.log.lock().expect("log poisoned").clone(),
             assignment: assignment.iter().map(|&id| classes[id].0.to_string()).collect(),
-            reassignments: self.reassignments.load(Ordering::Relaxed),
-            evaluations: discovery.evaluations(),
-            splits: discovery.splits(),
-            merges: discovery.merges(),
-        }
+            reassignments: d.reassignments.load(Ordering::Relaxed),
+            evaluations: engine.evaluations(),
+            splits: engine.splits(),
+            merges: engine.merges(),
+        })
     }
 }
 
@@ -376,7 +387,8 @@ pub(crate) fn emit_swaps(
 /// Builds one [`Instance`] for the given binding — used for the initial
 /// roster and for every elastic join, so a joiner is wired exactly like a
 /// founding member. `global_idx` is the instance's slot in the (potential)
-/// roster; discovered runs read their current class assignment from it.
+/// roster; live runs read its current class assignment from the table,
+/// frozen runs place it by spec class in `classes`.
 pub(crate) fn make_instance(
     spec: InstanceSpec,
     features: &FeatureSet,
@@ -385,25 +397,23 @@ pub(crate) fn make_instance(
     joined_epoch: u64,
     global_idx: usize,
 ) -> Instance {
-    match binding {
-        ModelBinding::Discovered(runtime) => {
-            let table = runtime.classes.read().expect("class table poisoned");
-            let id = runtime.assignment[global_idx].load(Ordering::Relaxed);
-            let mut instance = Instance::new(spec, features, id, joined_epoch);
-            instance.enable_discovery(
-                SignatureAccumulator::new(runtime.setup.signature, features.variables()),
-                table[id].0.clone(),
-            );
-            instance
-        }
-        _ => {
-            let class_idx = classes
-                .iter()
-                .position(|c| c == &spec.class)
-                .expect("class table covers every spec, churn joiners included");
-            Instance::new(spec, features, class_idx, joined_epoch)
-        }
+    let ModelBinding::Live(table) = binding else {
+        let class_idx = classes
+            .iter()
+            .position(|c| c == &spec.class)
+            .expect("class table covers every spec, churn joiners included");
+        return Instance::new(spec, features, class_idx, joined_epoch);
+    };
+    let id = table.assignment[global_idx].load(Ordering::Relaxed);
+    let mut instance = Instance::new(spec, features, id, joined_epoch);
+    instance.set_class(id, table.classes.read().expect("class table poisoned")[id].0.clone());
+    if let Some(discovery) = &table.discovery {
+        instance.enable_discovery(SignatureAccumulator::new(
+            discovery.setup.signature,
+            features.variables(),
+        ));
     }
+    instance
 }
 
 /// A set of simulated deployments operated concurrently under shared
@@ -416,9 +426,9 @@ pub(crate) fn make_instance(
 /// [`aging_ml::FeatureMatrix`]es (one per service class).
 /// [`Fleet::run_routed`] runs the same loop against a live
 /// [`AdaptiveRouter`], giving every [`ServiceClass`] its own adapting
-/// model — a router with one class adapts a homogeneous fleet — and
-/// [`Fleet::run_discovered`] lets the classes emerge from the fleet's own
-/// aging signatures.
+/// model — a router with one class adapts a homogeneous fleet — and with
+/// [`Fleet::with_discovery`] attached lets the classes emerge from the
+/// fleet's own aging signatures.
 #[derive(Debug)]
 pub struct Fleet {
     specs: Vec<InstanceSpec>,
@@ -428,6 +438,7 @@ pub struct Fleet {
     journal: Option<Arc<Journal>>,
     tuner: Option<FleetTuner>,
     churn: Option<ChurnPlan>,
+    discovery: Option<DiscoverySetup>,
     scheduler: SchedulerConfig,
 }
 
@@ -456,6 +467,7 @@ impl Fleet {
             journal: None,
             tuner: None,
             churn: None,
+            discovery: None,
             scheduler: SchedulerConfig::default(),
         })
     }
@@ -463,12 +475,11 @@ impl Fleet {
     /// Attaches a telemetry registry: epoch-phase timings land in it per
     /// shard, scheduler queue depth and leader-window timings per run,
     /// discovery instrumentation per evaluation, and the final
-    /// [`FleetReport::telemetry`] carries its snapshot. Pass the
-    /// *same* registry to the router
+    /// [`FleetReport::telemetry`] carries its snapshot. Pass the *same*
+    /// registry to the router
     /// ([`aging_adapt::AdaptiveRouterBuilder::telemetry`]) to get one
-    /// unified snapshot; discovered runs wire their internal router
-    /// automatically. Without this call the fleet pays one untaken branch
-    /// per phase — never a clock read per checkpoint.
+    /// unified snapshot. Without this call the fleet pays one untaken
+    /// branch per phase — never a clock read per checkpoint.
     #[must_use]
     pub fn with_telemetry(mut self, registry: Arc<Registry>) -> Self {
         self.telemetry = Some(registry);
@@ -476,30 +487,25 @@ impl Fleet {
     }
 
     /// Attaches a causal trace sink: per-shard epoch-dispatch and
-    /// model-swap events and the fleet's epoch marks land in `recorder`,
-    /// and a worker panic dumps the recorder's ring to stderr as JSONL
-    /// before the payload is rethrown. Pass the *same* recorder to the router
-    /// ([`aging_adapt::AdaptiveRouterBuilder::trace`]) to get one unified
-    /// causal stream — drift → trigger → refit → publish → swap all in
-    /// one [`aging_obs::Trace`]; discovered runs wire their internal
-    /// router automatically. Without this call no event is built and no
-    /// clock is read on any trace site.
+    /// model-swap events, discovery decisions and the fleet's epoch marks
+    /// land in `recorder`, and a worker panic dumps the recorder's ring to
+    /// stderr as JSONL before the payload is rethrown. Pass the *same*
+    /// recorder to the router ([`aging_adapt::AdaptiveRouterBuilder::trace`])
+    /// to get one unified causal stream — drift → trigger → refit →
+    /// publish → swap all in one [`aging_obs::Trace`]. Without this call no
+    /// event is built and no clock is read on any trace site.
     #[must_use]
     pub fn with_trace(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.trace = Some(recorder);
         self
     }
 
-    /// Attaches a durable checkpoint journal. Discovered runs
-    /// ([`Fleet::run_discovered`]) wire it through their internal router
-    /// — every routed batch is journalled *before* it is buffered — and
-    /// additionally record a [`JournalRecord::PartitionAssigned`] entry
-    /// at each discovery boundary, so a replay can restore both the
-    /// learned state and the discovered partition. For
-    /// [`Fleet::run_routed`], attach the journal to the externally built
-    /// router instead ([`aging_adapt::AdaptiveRouterBuilder::journal`])
-    /// and pass the same handle here so [`FleetReport::journal`] carries
-    /// its counters.
+    /// Attaches a durable checkpoint journal. Attach the same handle to the
+    /// router ([`aging_adapt::AdaptiveRouterBuilder::journal`]), which
+    /// journals every routed batch *before* buffering it; the fleet adds
+    /// membership records, a [`JournalRecord::PartitionAssigned`] entry at
+    /// each discovery boundary, and the counters in
+    /// [`FleetReport::journal`].
     #[must_use]
     pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
         self.journal = Some(journal);
@@ -511,18 +517,15 @@ impl Fleet {
     /// thread repeatedly searches the rejuvenation-policy space off the
     /// live checkpoint journal ([`FleetTuner::step`]) and publishes every
     /// gate-approved promotion into the router via
-    /// [`AdaptiveRouter::apply_spec`] — the fleet literally re-configures
-    /// its own adaptation policies mid-run. The final report carries the
+    /// [`AdaptiveRouter::apply_spec`]. The final report carries the
     /// tuner's counters in [`FleetReport::tuning`].
     ///
     /// The tuner inherits the fleet's telemetry registry and trace
-    /// recorder (when attached), so `tune_*` metrics and
-    /// `CandidateEvaluated`/`TuneRoundCompleted`/`PolicyPromoted` events
-    /// land in the same sinks as everything else. Search rounds read the
-    /// journal the run is writing; rounds that race the journal's
-    /// creation are skipped and retried. A run whose promotion gate never
-    /// fires is report-identical to the same run without a tuner (the
-    /// `tuning` field aside, which equality ignores).
+    /// recorder. Search rounds read the journal the run is writing; rounds
+    /// that race the journal's creation are skipped and retried. A run
+    /// whose promotion gate never fires is report-identical to the same
+    /// run without a tuner (the `tuning` field aside, which equality
+    /// ignores).
     #[must_use]
     pub fn with_tuner(mut self, tuner: FleetTuner) -> Self {
         self.tuner = Some(tuner);
@@ -544,6 +547,28 @@ impl Fleet {
     pub fn with_churn(mut self, plan: ChurnPlan) -> Result<Self, FleetError> {
         plan.validate(&self.specs)?;
         self.churn = Some(plan);
+        Ok(self)
+    }
+
+    /// Attaches automatic class discovery to the next
+    /// [`Fleet::run_routed`] call. The router must serve exactly one
+    /// class, the *seed*, which every instance starts in (spec classes are
+    /// ignored). At every `setup.reassess_every_epochs` boundary the fleet
+    /// re-clusters its instances' aging signatures: a gated split
+    /// registers a class `discovered-<id>` on the router with the seed's
+    /// current spec and the nearest centroid's published model, converged
+    /// classes merge back, and instances are re-routed at the epoch
+    /// boundary. The report carries the partition in
+    /// [`FleetReport::discovery`]; with drift disabled in the seed spec it
+    /// is deterministic, shard and worker counts included.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::InvalidParameter`] for a zero reassessment
+    /// interval.
+    pub fn with_discovery(mut self, setup: DiscoverySetup) -> Result<Self, FleetError> {
+        validate_discovery(&setup)?;
+        self.discovery = Some(setup);
         Ok(self)
     }
 
@@ -615,12 +640,6 @@ impl Fleet {
         classes
     }
 
-    /// Operates the fleet to its horizon with a trained predictor, sharing
-    /// its model and feature pipeline across all worker threads.
-    pub fn run_with_predictor(self, predictor: &AgingPredictor) -> FleetReport {
-        self.run(predictor.model(), predictor.features())
-    }
-
     /// Operates the fleet to its horizon with one frozen model.
     ///
     /// `model` is shared by reference across the worker pool (it is `Sync`
@@ -639,7 +658,9 @@ impl Fleet {
     /// tagged with their class — so a workload shift in one class retrains
     /// that class's model while every other class keeps its own, and the
     /// retraining never pauses the worker threads. A homogeneous fleet
-    /// runs against a router with the one class its specs name.
+    /// runs against a router with the one class its specs name; with
+    /// [`Fleet::with_discovery`] attached the router's one class is the
+    /// seed the partition grows from.
     ///
     /// With drift triggering disabled ([`aging_adapt::DriftConfig`]
     /// `enabled: false` and no periodic schedule) no class leaves
@@ -663,23 +684,16 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`FleetError::InvalidParameter`] when some instance's class
-    /// has no registered model service on the router.
+    /// has no registered model service on the router, or — with discovery
+    /// attached — when the router does not serve exactly one class, or
+    /// its class collides with the `discovered-<id>` names splits
+    /// register.
     pub fn run_routed(
         mut self,
         router: &AdaptiveRouter,
         features: &FeatureSet,
     ) -> Result<FleetReport, FleetError> {
-        let services: Vec<Arc<ModelService>> = self
-            .classes()
-            .iter()
-            .map(|class| {
-                router.model_service(class).ok_or_else(|| {
-                    FleetError::InvalidParameter(format!(
-                        "no model service registered for service class `{class}`"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        let table = self.live_table(router)?;
         let tuner = self.tuner.take();
         let telemetry = self.telemetry.clone();
         let trace = self.trace.clone();
@@ -737,122 +751,88 @@ impl Fleet {
                     tuner.stats()
                 })
             });
-            let report =
-                self.run_bound(ModelBinding::Routed(services), features, Some(router.bus()));
+            let report = self.run_bound(ModelBinding::Live(&table), features, Some(router.bus()));
             stop_tuning.store(true, Ordering::Release);
             let tuning = tuner_handle.and_then(|handle| handle.join().ok());
             (report, tuning)
         });
+        // Joined instances are a roster prefix, so the per-instance report
+        // count is exactly the slice the partition covers.
+        report.discovery = table.discovery_report(report.instances.len());
         report.routing = Some(router.stats());
         report.tuning = tuning;
         Ok(report)
     }
 
-    /// Operates the fleet with **no operator-assigned classes**: every
-    /// instance starts in the seed class `discovered-0` (spec classes are
-    /// ignored), served by `setup.template.initial`. Each instance's
-    /// labelled-checkpoint stream is summarised into an aging-signature
-    /// vector, and at every `setup.reassess_every_epochs` boundary the
-    /// discovery engine re-clusters the fleet: a silhouette- and
-    /// separation-gated split spawns a new class (with its own
-    /// [`aging_adapt::AdaptationPipeline`] seeded from the nearest
-    /// centroid's published model), converged classes merge back, and
-    /// instances are re-routed — all at epoch boundaries, with the same
-    /// pin discipline as the models.
-    ///
-    /// The returned report carries the discovered partition in
-    /// [`FleetReport::discovery`] and the per-class router counters in
-    /// [`FleetReport::routing`] (quiesced, so the numbers are settled).
-    /// With drift disabled in the template, outcomes and partitions are
-    /// deterministic in the specs, seeds and config — shard count
-    /// included.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::InvalidParameter`] for a zero reassessment
-    /// interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate template config, threshold policy, router
-    /// config or discovery config — the same panics the router builder
-    /// and discovery constructors raise.
-    pub fn run_discovered(
-        self,
-        setup: &DiscoverySetup,
-        features: &FeatureSet,
-    ) -> Result<FleetReport, FleetError> {
-        validate_discovery(setup)?;
-        let telemetry = self.telemetry.clone();
-        let trace = self.trace.clone();
-        let journal = self.journal.clone();
-        let seed_class = ServiceClass::new("discovered-0");
-        let mut router_builder = AdaptiveRouter::builder(features.variables().to_vec())
-            .class(seed_class.clone(), setup.template.clone())
-            .config(setup.router);
-        if let Some(registry) = &telemetry {
-            router_builder = router_builder.telemetry(Arc::clone(registry));
-        }
-        if let Some(recorder) = &trace {
-            router_builder = router_builder.trace(Arc::clone(recorder));
-        }
-        if let Some(journal) = &journal {
-            router_builder = router_builder.journal(Arc::clone(journal));
-        }
-        let router = router_builder.spawn();
-        let mut discovery_engine = ClassDiscovery::new(setup.discovery);
-        if let Some(registry) = &telemetry {
-            discovery_engine.set_recorder(Arc::clone(registry) as Arc<dyn Recorder>);
-        }
-        // Elastic runs size the runtime's slots for the *potential*
-        // roster — initial specs, scripted joiners, the autoscale pool —
-        // so membership changes never reallocate shared state. Joined
-        // instances always occupy a contiguous prefix of the roster.
+    /// Builds the class table a live run serves from: the spec classes'
+    /// services for a routed run, or the router's one seed class with the
+    /// discovery state when [`Fleet::with_discovery`] is attached.
+    fn live_table<'r>(&mut self, router: &'r AdaptiveRouter) -> Result<LiveTable<'r>, FleetError> {
+        // Slots cover the *potential* roster — initial specs, scripted
+        // joiners, the autoscale pool — and joined instances always occupy
+        // a contiguous prefix of it.
         let roster = potential_roster(&self.specs, self.churn.as_ref());
-        let n_slots = roster.len();
-        let instance_names: Vec<String> =
-            roster.iter().map(|(_, spec, _)| spec.name.clone()).collect();
-        let (mut report, discovery_report) = {
-            let runtime = DiscoveryRuntime {
-                router: &router,
+        let setup = self.discovery.take();
+        let classes = match (&setup, router.classes().as_slice()) {
+            (None, _) => self.classes(),
+            // Splits register `discovered-<id>` for ids from 1 on.
+            (Some(_), [seed])
+                if seed.as_str().strip_prefix("discovered-").is_none_or(|id| id == "0") =>
+            {
+                vec![seed.clone()]
+            }
+            (Some(_), served) => {
+                return Err(FleetError::InvalidParameter(format!(
+                    "class discovery needs a router serving exactly one seed class, not named \
+                     like the `discovered-<id>` classes splits register; it serves {served:?}"
+                )))
+            }
+        };
+        let services = classes
+            .iter()
+            .map(|class| {
+                let service = router.model_service(class).ok_or_else(|| {
+                    FleetError::InvalidParameter(format!(
+                        "no model service registered for service class `{class}`"
+                    ))
+                })?;
+                Ok((class.clone(), service))
+            })
+            .collect::<Result<_, FleetError>>()?;
+        // Discovery ignores spec classes: every instance starts in the seed.
+        let assignment = roster
+            .iter()
+            .map(|(_, spec, _)| {
+                let id = classes.iter().position(|c| setup.is_some() || c == &spec.class);
+                AtomicUsize::new(id.expect("the class table covers the potential roster"))
+            })
+            .collect();
+        let discovery = setup.map(|setup| {
+            let mut engine = ClassDiscovery::new(setup.discovery);
+            if let Some(registry) = &self.telemetry {
+                engine.set_recorder(Arc::clone(registry) as Arc<dyn Recorder>);
+            }
+            Discovery {
+                router,
+                seed: classes[0].clone(),
                 setup,
-                journal,
-                instance_names,
-                classes: RwLock::new(vec![(
-                    seed_class.clone(),
-                    router.model_service(&seed_class).expect("seed class registered above"),
-                )]),
-                assignment: (0..n_slots).map(|_| AtomicUsize::new(0)).collect(),
-                signatures: (0..n_slots).map(|_| Mutex::new(None)).collect(),
+                journal: self.journal.clone(),
+                instance_names: roster.iter().map(|(_, spec, _)| spec.name.clone()).collect(),
+                signatures: roster.iter().map(|_| Mutex::new(None)).collect(),
                 population: AtomicUsize::new(self.specs.len()),
-                discovery: Mutex::new(discovery_engine),
+                engine: Mutex::new(engine),
                 reassignments: AtomicU64::new(0),
                 log: Mutex::new(Vec::new()),
-                version: AtomicU64::new(0),
-                instruments: match &telemetry {
-                    Some(registry) => DiscoveryInstruments::resolve(registry),
-                    None => DiscoveryInstruments::default(),
-                },
-                trace: trace_of(&trace),
-            };
-            let report =
-                self.run_bound(ModelBinding::Discovered(&runtime), features, Some(router.bus()));
-            // Joined instances are a roster prefix, so the per-instance
-            // report count is exactly the slice the partition covers.
-            let joined = report.instances.len();
-            (report, runtime.report(joined))
-        };
-        report.discovery = Some(discovery_report);
-        // Settle the learning side so the reported counters are final.
-        router.quiesce(Duration::from_secs(60));
-        report.routing = Some(router.stats());
-        router.shutdown();
-        // Re-snapshot after the quiesce so late refit/swap observations —
-        // batches still draining when the epoch loop returned — are in.
-        if let Some(registry) = &telemetry {
-            report.telemetry = Some(registry.snapshot());
-        }
-        Ok(report)
+                instruments: DiscoveryInstruments::resolve(recorder_of(&self.telemetry)),
+                trace: trace_of(&self.trace),
+            }
+        });
+        Ok(LiveTable {
+            classes: RwLock::new(services),
+            assignment,
+            version: AtomicU64::new(0),
+            discovery,
+        })
     }
 
     fn run_bound(
@@ -861,16 +841,15 @@ impl Fleet {
         features: &FeatureSet,
         bus: Option<CheckpointBus>,
     ) -> FleetReport {
-        // Discovered runs ignore the specs' operator classes: everything
-        // starts in the seed class and the table grows as regimes appear.
         let classes = match &binding {
-            ModelBinding::Discovered(runtime) => {
-                vec![runtime.classes.read().expect("class table poisoned")[0].0.clone()]
+            ModelBinding::Live(table) => {
+                let table = table.classes.read().expect("class table poisoned");
+                table.iter().map(|(name, _)| name.clone()).collect()
             }
-            _ => self.classes(),
+            ModelBinding::Frozen(_) => self.classes(),
         };
         let n_classes = classes.len();
-        let Fleet { specs, config, telemetry, trace, journal, tuner: _, churn, scheduler } = self;
+        let Fleet { specs, config, telemetry, trace, journal, churn, scheduler, .. } = self;
         let n_instances = specs.len();
         let n_shards = config.shards.min(n_instances).max(1);
 
@@ -888,10 +867,8 @@ impl Fleet {
                 .map(|bucket| Shard::new(bucket, features.len(), n_classes, bus.clone()))
                 .collect()
         };
-        if let Some(registry) = &telemetry {
-            for (idx, shard) in shards.iter_mut().enumerate() {
-                shard.set_instruments(ShardInstruments::resolve(registry, idx));
-            }
+        for (idx, shard) in shards.iter_mut().enumerate() {
+            shard.set_instruments(ShardInstruments::resolve(recorder_of(&telemetry), idx));
         }
         let started = Instant::now();
         let outcome = run_elastic(ElasticArgs {
@@ -902,7 +879,7 @@ impl Fleet {
             features,
             churn: churn.as_ref(),
             scheduler,
-            telemetry: telemetry.as_deref(),
+            telemetry: recorder_of(&telemetry),
             trace_recorder: trace.as_deref(),
             trace: trace_of(&trace),
             journal: journal.as_deref(),

@@ -456,12 +456,9 @@ impl Instance {
         }
     }
 
-    /// Attaches a class-discovery signature accumulator and places the
-    /// instance in the seed discovered class (run-discovered construction;
-    /// the spec's operator class, if any, is deliberately ignored).
-    pub(crate) fn enable_discovery(&mut self, acc: SignatureAccumulator, seed_class: ServiceClass) {
+    /// Attaches a class-discovery signature accumulator.
+    pub(crate) fn enable_discovery(&mut self, acc: SignatureAccumulator) {
         self.discovery = Some(acc);
-        self.current_class = seed_class;
     }
 
     /// Re-points the instance at a (possibly newly discovered) class.

@@ -45,7 +45,10 @@
 //! worker re-pins its per-class snapshots at the next epoch boundary —
 //! retraining never pauses the pool, and a workload shift in one class
 //! adapts that class alone. A homogeneous fleet runs against a router
-//! with one class. A fleet-level [`WorkloadShift`] can move instances to
+//! with one class. With [`Fleet::with_discovery`] attached, that one class
+//! is only the seed: the fleet clusters its instances' aging signatures
+//! and registers the classes it finds on the router mid-run. A
+//! fleet-level [`WorkloadShift`] can move instances to
 //! a different scenario mid-run to exercise exactly the dynamic-workload
 //! regime the paper's adaptive claim is about.
 //!
@@ -77,7 +80,7 @@
 //! let predictor = AgingPredictor::train(&[scenario.clone()], FeatureSet::exp42(), 7)?;
 //! let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
 //! let fleet = Fleet::uniform(&scenario, policy, 100, 1000, FleetConfig::default())?;
-//! let report = fleet.run_with_predictor(&predictor);
+//! let report = fleet.run(predictor.model(), predictor.features());
 //! println!("{report}");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -181,7 +184,7 @@ mod tests {
         .unwrap();
         let predictor =
             AgingPredictor::train(&[crashing_scenario()], FeatureSet::exp42(), 99).unwrap();
-        let report = fleet.run_with_predictor(&predictor);
+        let report = fleet.run(predictor.model(), predictor.features());
         assert_eq!(report.instances.len(), 6);
         assert_eq!(report.shards, 3);
         assert_eq!(report.rejuvenations, 0);
@@ -201,7 +204,7 @@ mod tests {
         let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
         let predictive = Fleet::uniform(&crashing_scenario(), policy, 4, 500, short_config(2))
             .unwrap()
-            .run_with_predictor(&predictor);
+            .run(predictor.model(), predictor.features());
         let reactive = Fleet::uniform(
             &crashing_scenario(),
             RejuvenationPolicy::Reactive,
@@ -210,7 +213,7 @@ mod tests {
             short_config(2),
         )
         .unwrap()
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
         assert!(
             predictive.crashes < reactive.crashes,
             "prediction must pre-empt crashes: {} vs {}",
@@ -240,7 +243,7 @@ mod tests {
             config,
         )
         .unwrap()
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
         assert!(report.rejuvenations > 0);
         assert_eq!(report.crashes_avoided, 0);
     }
@@ -258,7 +261,7 @@ mod tests {
                 short_config(shards),
             )
             .unwrap();
-            let report = fleet.run_with_predictor(&predictor);
+            let report = fleet.run(predictor.model(), predictor.features());
             let names: Vec<&str> = report.instances.iter().map(|i| i.name.as_str()).collect();
             assert_eq!(
                 names,
@@ -318,7 +321,7 @@ mod tests {
         )
         .unwrap()
         .with_telemetry(std::sync::Arc::clone(&registry))
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
         let telemetry = report.telemetry.as_ref().expect("registry attached");
         assert_eq!(telemetry.counter("fleet_epochs_total", None), Some(report.epochs));
         let advances = telemetry.histogram_series("fleet_epoch_advance_seconds");
@@ -339,7 +342,7 @@ mod tests {
             short_config(2),
         )
         .unwrap()
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
         assert!(bare.telemetry.is_none());
     }
 
@@ -355,7 +358,7 @@ mod tests {
             short_config(2),
         )
         .unwrap()
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
         let text = report.to_string();
         assert!(text.contains("2 instances"), "{text}");
         assert!(text.contains("checkpoints/s"), "{text}");
@@ -366,7 +369,7 @@ mod tests {
     /// path) and still rethrow the payload to the caller.
     #[test]
     fn discovery_step_panic_dumps_flight_recorder_once() {
-        use aging_adapt::ClassSpec;
+        use aging_adapt::{AdaptiveRouter, ClassSpec};
         use aging_ml::LearnerKind;
         use aging_obs::FlightRecorder;
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -380,8 +383,13 @@ mod tests {
                 .model()
                 .clone(),
         );
-        let template = ClassSpec::builder(LearnerKind::LinReg.learner(), initial).build();
-        let setup = DiscoverySetup { reassess_every_epochs: 1, ..DiscoverySetup::new(template) };
+        let router = AdaptiveRouter::builder(features.variables().to_vec())
+            .class(
+                ServiceClass::new("discovered-0"),
+                ClassSpec::builder(LearnerKind::LinReg.learner(), initial).build(),
+            )
+            .spawn();
+        let setup = DiscoverySetup { reassess_every_epochs: 1, ..Default::default() };
         let recorder = Arc::new(FlightRecorder::with_capacity(128));
         let fleet = Fleet::uniform(
             &crashing_scenario(),
@@ -391,12 +399,15 @@ mod tests {
             short_config(2),
         )
         .unwrap()
-        .with_trace(Arc::clone(&recorder));
+        .with_trace(Arc::clone(&recorder))
+        .with_discovery(setup)
+        .unwrap();
         // Arm the seam for the first reassessment boundary; disarm before
         // asserting so a failure cannot leak the panic into later tests.
         crate::engine::DISCOVERY_PANIC_AT.store(1, Ordering::SeqCst);
-        let result = catch_unwind(AssertUnwindSafe(|| fleet.run_discovered(&setup, &features)));
+        let result = catch_unwind(AssertUnwindSafe(|| fleet.run_routed(&router, &features)));
         crate::engine::DISCOVERY_PANIC_AT.store(u64::MAX, Ordering::SeqCst);
+        router.shutdown();
         assert!(result.is_err(), "the leader's panic must reach the caller");
         assert_eq!(recorder.dumped(), 1, "one dump per recorder, not per panicking thread");
     }

@@ -103,8 +103,8 @@ pub struct DiscoveryEvaluation {
     pub class_generations: Vec<(String, u64)>,
 }
 
-/// What automatic class discovery did during a
-/// [`crate::Fleet::run_discovered`] run.
+/// What automatic class discovery ([`crate::Fleet::with_discovery`]) did
+/// during a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiscoveryReport {
     /// Every class ever discovered, in creation order (retired included).
@@ -231,13 +231,13 @@ pub struct FleetReport {
     pub mean_ttf_error_secs: f64,
     /// Labelled predictions behind `mean_ttf_error_secs`.
     pub ttf_error_count: u64,
-    /// Per-class router counters for [`crate::Fleet::run_routed`] and
-    /// [`crate::Fleet::run_discovered`] runs (`None` otherwise; excluded
-    /// from equality).
+    /// Per-class router counters for [`crate::Fleet::run_routed`] runs
+    /// (`None` otherwise; excluded from equality).
     pub routing: Option<RouterStats>,
-    /// The discovered partition for [`crate::Fleet::run_discovered`] runs
-    /// (`None` otherwise; excluded from equality — compare it directly in
-    /// determinism tests).
+    /// The discovered partition for runs with
+    /// [`crate::Fleet::with_discovery`] attached (`None` otherwise;
+    /// excluded from equality — compare it directly in determinism
+    /// tests).
     pub discovery: Option<DiscoveryReport>,
     /// Wall-clock performance (excluded from equality).
     pub timing: FleetTiming,

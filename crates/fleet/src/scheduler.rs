@@ -72,7 +72,7 @@ pub(crate) struct ElasticArgs<'a, 'b> {
     pub(crate) features: &'a FeatureSet,
     pub(crate) churn: Option<&'a ChurnPlan>,
     pub(crate) scheduler: SchedulerConfig,
-    pub(crate) telemetry: Option<&'a aging_obs::Registry>,
+    pub(crate) telemetry: &'a dyn Recorder,
     pub(crate) trace_recorder: Option<&'a FlightRecorder>,
     pub(crate) trace: TraceHandle,
     pub(crate) journal: Option<&'a Journal>,
@@ -97,7 +97,7 @@ struct PendingJoin {
 
 /// Leader-boundary parameters, fixed for the run.
 struct Params {
-    /// Discovery reassessment interval (discovered bindings only).
+    /// Discovery reassessment interval (discovering runs only).
     reassess: Option<u64>,
     /// `(evaluate_every_epochs, min_live)` of the autoscale rule.
     autoscale: Option<(u64, u64)>,
@@ -313,38 +313,27 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
     }
     .max(1);
     let params = Params {
-        reassess: match args.binding {
-            ModelBinding::Discovered(runtime) => Some(runtime.setup.reassess_every_epochs),
-            _ => None,
-        },
+        reassess: args.binding.discovery().map(|d| d.setup.reassess_every_epochs),
         autoscale: args
             .churn
             .and_then(|plan| plan.autoscale.as_ref())
             .map(|rule| (rule.evaluate_every_epochs, rule.min_live as u64)),
     };
     // Disabled handles keep an untelemetered run free of clock reads.
-    let (queue_depth, live_gauge, leader_hist, epochs_counter) = match args.telemetry {
-        Some(registry) => (
-            registry.histogram(
-                "fleet_scheduler_queue_depth",
-                "Ready-queue depth observed at each scheduler dequeue",
-                Unit::Count,
-            ),
-            registry.gauge("fleet_instances_live", "Instances currently live across the fleet"),
-            registry.histogram(
-                "fleet_leader_step_seconds",
-                "Wall time of the scheduler's single-threaded leader window per boundary",
-                Unit::Seconds,
-            ),
-            registry.counter("fleet_epochs_total", "Completed fleet epochs"),
-        ),
-        None => (
-            HistogramHandle::disabled(),
-            GaugeHandle::disabled(),
-            HistogramHandle::disabled(),
-            CounterHandle::disabled(),
-        ),
-    };
+    let recorder = args.telemetry;
+    let queue_depth = recorder.histogram(
+        "fleet_scheduler_queue_depth",
+        "Ready-queue depth observed at each scheduler dequeue",
+        Unit::Count,
+    );
+    let live_gauge =
+        recorder.gauge("fleet_instances_live", "Instances currently live across the fleet");
+    let leader_hist = recorder.histogram(
+        "fleet_leader_step_seconds",
+        "Wall time of the scheduler's single-threaded leader window per boundary",
+        Unit::Seconds,
+    );
+    let epochs_counter = recorder.counter("fleet_epochs_total", "Completed fleet epochs");
 
     // The initial roster is membership too: journal every founding
     // instance as joined at epoch 0, in roster order, so a replayed
@@ -451,7 +440,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
             .map(|(idx, shard)| {
                 Mutex::new(ShardSlot {
                     shard,
-                    step: EpochStep::new(args.binding, args.classes, idx, args.trace.clone()),
+                    step: EpochStep::new(idx, args.trace.clone()),
                     last_event: None,
                 })
             })
@@ -560,8 +549,8 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
             make_instance(join.spec, ctx.features, ctx.binding, ctx.classes, epoch, global);
         let name = instance.name().to_string();
         let class = instance.class_name().to_string();
-        if let ModelBinding::Discovered(runtime) = ctx.binding {
-            runtime.population.fetch_add(1, Ordering::Relaxed);
+        if let Some(discovery) = ctx.binding.discovery() {
+            discovery.population.fetch_add(1, Ordering::Relaxed);
         }
         slot.shard.admit(global, instance);
         joined.push((global, autoscaled, name, class));
@@ -602,12 +591,14 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         }
     };
     if outcome.is_ok() {
-        if let ModelBinding::Discovered(runtime) = ctx.binding {
-            // A dying shard publishes its final signatures immediately:
-            // they stay in force at every later boundary, since a dead
-            // shard never runs another epoch to refresh them.
-            if EpochStep::reassess_after(ctx.binding, epoch) || live_after == 0 {
-                EpochStep::publish_signatures(slot.shard, runtime);
+        if let Some(discovery) = ctx.binding.discovery() {
+            // Signatures are published when the epoch completes a
+            // reassessment interval, for the leader's next step. A dying
+            // shard publishes its final signatures immediately: they stay
+            // in force at every later boundary, since a dead shard never
+            // runs another epoch to refresh them.
+            if (epoch + 1) % discovery.setup.reassess_every_epochs == 0 || live_after == 0 {
+                EpochStep::publish_signatures(slot.shard, discovery);
             }
         }
     }
@@ -625,14 +616,14 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
             EventKind::InstanceRetired { instance: *global as u64, forced: *forced },
         );
         if *forced {
-            if let ModelBinding::Discovered(runtime) = ctx.binding {
+            if let Some(discovery) = ctx.binding.discovery() {
                 // A churn-retired instance leaves the population: clear
                 // its signature so discovery stops clustering it, and
                 // shrink the live count the ready-fraction gate divides
                 // by. (Natural deaths keep both — bit-compatible with the
                 // fixed-population engine.)
-                *runtime.signatures[*global].lock().expect("signature slot poisoned") = None;
-                runtime.population.fetch_sub(1, Ordering::Relaxed);
+                *discovery.signatures[*global].lock().expect("signature slot poisoned") = None;
+                discovery.population.fetch_sub(1, Ordering::Relaxed);
             }
         }
         journal_membership(
@@ -688,20 +679,15 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
 /// autoscale evaluation, then advances the boundary clock.
 fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
     let leader_span = ctx.leader_hist.span();
-    let mut discovery_panic = None;
-    if let Some(reassess) = ctx.params.reassess {
-        if boundary % reassess == 0 {
-            if let ModelBinding::Discovered(runtime) = ctx.binding {
-                if let Err(payload) =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| runtime.step(boundary)))
-                {
-                    if let Some(recorder) = ctx.trace_recorder {
-                        recorder.dump_once(&format!("discovery step panicked at epoch {boundary}"));
-                    }
-                    discovery_panic = Some(payload);
-                }
-            }
+    let reassess = ctx.params.reassess.is_some_and(|every| boundary % every == 0);
+    let discovery_panic = match ctx.binding {
+        ModelBinding::Live(table) if reassess => {
+            std::panic::catch_unwind(AssertUnwindSafe(|| table.step(boundary))).err()
         }
+        _ => None,
+    };
+    if let (Some(_), Some(recorder)) = (&discovery_panic, ctx.trace_recorder) {
+        recorder.dump_once(&format!("discovery step panicked at epoch {boundary}"));
     }
     let mut core = ctx.core.lock().expect("scheduler core poisoned");
     core.leader_busy = false;
@@ -709,7 +695,7 @@ fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
     core.stats.leader_steps += 1;
     if let Some(payload) = discovery_panic {
         // Rethrown after the pool drains, like a worker panic — before
-        // `run_discovered` touches the runtime's possibly poisoned
+        // `run_routed` touches the discovery state's possibly poisoned
         // mutexes, so a poison panic cannot mask the real payload.
         core.panicked = true;
         core.payload.get_or_insert(payload);

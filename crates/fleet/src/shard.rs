@@ -4,7 +4,7 @@ use crate::config::FleetConfig;
 use crate::instance::{Instance, Tick};
 use aging_adapt::{CheckpointBus, ModelSnapshot};
 use aging_ml::{FeatureMatrix, Regressor};
-use aging_obs::{HistogramHandle, Recorder, Registry, Unit};
+use aging_obs::{HistogramHandle, Recorder, Unit};
 
 /// The model table one epoch serves from, resolved per class without any
 /// per-epoch allocation: homogeneous bindings answer every class with the
@@ -16,8 +16,7 @@ use aging_obs::{HistogramHandle, Recorder, Registry, Unit};
 pub(crate) enum EpochModels<'a> {
     /// Frozen runs: one model, generation 0, for every class.
     Frozen(&'a dyn Regressor),
-    /// Routed and discovered runs: the worker's pins, indexed by fleet
-    /// class.
+    /// Live runs: the worker's pins, indexed by fleet class.
     PerClass(&'a [ModelSnapshot]),
 }
 
@@ -55,24 +54,24 @@ pub(crate) struct ShardInstruments {
 
 impl ShardInstruments {
     /// Resolves the three phase histograms for one shard id.
-    pub(crate) fn resolve(registry: &Registry, shard: usize) -> Self {
+    pub(crate) fn resolve(recorder: &dyn Recorder, shard: usize) -> Self {
         let shard = shard.to_string();
         ShardInstruments {
-            advance: registry.histogram_with(
+            advance: recorder.histogram_with(
                 "fleet_epoch_advance_seconds",
                 "Per-epoch wall time advancing every instance of one shard by one checkpoint",
                 Unit::Seconds,
                 "shard",
                 &shard,
             ),
-            predict: registry.histogram_with(
+            predict: recorder.histogram_with(
                 "fleet_epoch_predict_seconds",
                 "Per-epoch wall time of the batched TTF matrix predictions of one shard",
                 Unit::Seconds,
                 "shard",
                 &shard,
             ),
-            publish: registry.histogram_with(
+            publish: recorder.histogram_with(
                 "fleet_epoch_publish_seconds",
                 "Per-epoch wall time publishing labelled checkpoint batches onto the bus",
                 Unit::Seconds,

@@ -1,7 +1,7 @@
 //! [`EpochStep`]: the reusable unit of per-epoch work.
 //!
 //! One `EpochStep` owns a shard worker's epoch-boundary state — model
-//! snapshot pins, the discovered-class table view, effective threshold
+//! snapshot pins, its view of the live class table, effective threshold
 //! overrides — and drives one shard through one fleet epoch:
 //! refresh pins/classes → build the epoch's model table → advance every
 //! instance, batch-predict per class, publish labelled checkpoints.
@@ -14,7 +14,7 @@
 //! produces the same report.
 
 use crate::config::FleetConfig;
-use crate::engine::{emit_swaps, DiscoveryRuntime, ModelBinding};
+use crate::engine::{emit_swaps, Discovery, ModelBinding};
 use crate::shard::{EpochModels, Shard};
 use aging_adapt::{ModelService, ModelSnapshot, ServiceClass};
 use aging_obs::TraceHandle;
@@ -30,13 +30,15 @@ pub(crate) struct EpochStep {
     /// models. Empty for frozen runs.
     pins: Vec<ModelSnapshot>,
     /// The class table this worker serves from, aligned with `pins`:
-    /// seeded from the routed or discovered table at construction, and
-    /// grown when a discovered run's runtime version moves.
+    /// synced from the live table at the first epoch and grown whenever
+    /// the table's version moves.
     services: Vec<Arc<ModelService>>,
     /// Class names aligned with `services`/`pins` — the labels this
     /// shard's swap-apply events carry.
     class_names: Vec<ServiceClass>,
-    seen_version: u64,
+    /// The table version this worker last synced; `None` before the
+    /// first epoch.
+    seen_version: Option<u64>,
     /// Effective rejuvenation thresholds, same epoch-boundary discipline
     /// as the pins: read once per class per epoch from the class's model
     /// service, so a self-tuning policy's update lands at an epoch edge,
@@ -47,61 +49,43 @@ pub(crate) struct EpochStep {
 }
 
 impl EpochStep {
-    pub(crate) fn new(
-        binding: &ModelBinding<'_>,
-        classes: &[ServiceClass],
-        shard_idx: usize,
-        trace: TraceHandle,
-    ) -> Self {
-        let (services, class_names) = match binding {
-            ModelBinding::Frozen(_) => (Vec::new(), Vec::new()),
-            ModelBinding::Routed(services) => (services.clone(), classes.to_vec()),
-            ModelBinding::Discovered(runtime) => {
-                let table = runtime.classes.read().expect("class table poisoned");
-                (
-                    table.iter().map(|(_, s)| Arc::clone(s)).collect(),
-                    table.iter().map(|(name, _)| name.clone()).collect(),
-                )
-            }
-        };
+    pub(crate) fn new(shard_idx: usize, trace: TraceHandle) -> Self {
         EpochStep {
             shard_idx,
-            pins: services.iter().map(|s| s.snapshot()).collect(),
-            services,
-            class_names,
-            seen_version: 0,
-            thresholds: vec![None; classes.len()],
+            pins: Vec::new(),
+            services: Vec::new(),
+            class_names: Vec::new(),
+            seen_version: None,
+            thresholds: Vec::new(),
             trace,
         }
     }
 
-    /// Epoch-boundary refresh: for discovered runs, apply the leader's
-    /// latest partition to this shard's instances; then re-pin moved
-    /// model generations (emitting the skipped-generation swap events)
-    /// and re-read threshold overrides.
+    /// Epoch-boundary refresh of a live run: when the table's version
+    /// moved (always at the first epoch), apply its assignment to this
+    /// shard's instances and pin any new classes; then re-pin moved model
+    /// generations (emitting the skipped-generation swap events) and
+    /// re-read threshold overrides.
     fn refresh(&mut self, shard: &mut Shard, binding: &ModelBinding<'_>) {
-        if let ModelBinding::Discovered(runtime) = binding {
-            // Apply the leader's latest partition — new classes,
-            // retirements, re-routed instances — exactly at this epoch
-            // boundary.
-            let version = runtime.version.load(Ordering::Acquire);
-            if version != self.seen_version {
-                self.seen_version = version;
-                let table = runtime.classes.read().expect("class table poisoned");
-                for (orig, instance) in shard.instances.iter_mut() {
-                    let id = runtime.assignment[*orig].load(Ordering::Relaxed);
-                    instance.set_class(id, table[id].0.clone());
-                }
-                while self.services.len() < table.len() {
-                    let (name, service) = &table[self.services.len()];
-                    self.pins.push(service.snapshot());
-                    self.class_names.push(name.clone());
-                    self.services.push(Arc::clone(service));
-                }
-                drop(table);
-                shard.ensure_classes(self.services.len());
-                self.thresholds.resize(self.services.len(), None);
+        let ModelBinding::Live(table) = binding else {
+            return;
+        };
+        let version = table.version.load(Ordering::Acquire);
+        if self.seen_version != Some(version) {
+            self.seen_version = Some(version);
+            let classes = table.classes.read().expect("class table poisoned");
+            for (orig, instance) in shard.instances.iter_mut() {
+                let id = table.assignment[*orig].load(Ordering::Relaxed);
+                instance.set_class(id, classes[id].0.clone());
             }
+            for (name, service) in &classes[self.services.len()..] {
+                self.pins.push(service.snapshot());
+                self.class_names.push(name.clone());
+                self.services.push(Arc::clone(service));
+            }
+            drop(classes);
+            shard.ensure_classes(self.services.len());
+            self.thresholds.resize(self.services.len(), None);
         }
         let shard_idx = self.shard_idx as u32;
         for (class_idx, ((service, pin), threshold)) in
@@ -138,31 +122,17 @@ impl EpochStep {
         // per-epoch allocation.
         let models = match binding {
             ModelBinding::Frozen(model) => EpochModels::Frozen(*model),
-            ModelBinding::Routed(_) | ModelBinding::Discovered(_) => {
-                EpochModels::PerClass(&self.pins)
-            }
+            ModelBinding::Live(_) => EpochModels::PerClass(&self.pins),
         };
         shard.epoch(models, &self.thresholds, config, epoch)
     }
 
-    /// Whether completing `epoch` lands on a discovery reassessment
-    /// boundary (signatures must be published before the leader's next
-    /// step).
-    pub(crate) fn reassess_after(binding: &ModelBinding<'_>, epoch: u64) -> bool {
-        match binding {
-            ModelBinding::Discovered(runtime) => {
-                (epoch + 1) % runtime.setup.reassess_every_epochs == 0
-            }
-            _ => false,
-        }
-    }
-
-    /// Publishes this shard's instance signatures into the runtime's
+    /// Publishes this shard's instance signatures into the discovery
     /// slots, so the leader's next evaluation sees every instance's
     /// latest stream.
-    pub(crate) fn publish_signatures(shard: &Shard, runtime: &DiscoveryRuntime<'_>) {
+    pub(crate) fn publish_signatures(shard: &Shard, discovery: &Discovery<'_>) {
         for (orig, instance) in shard.instances.iter() {
-            *runtime.signatures[*orig].lock().expect("signature slot poisoned") =
+            *discovery.signatures[*orig].lock().expect("signature slot poisoned") =
                 instance.signature();
         }
     }

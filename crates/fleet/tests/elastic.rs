@@ -46,7 +46,7 @@ fn churn_free_runs_match_the_one_worker_run_bit_exactly() {
         Fleet::uniform(&crashing_scenario(), policy, 8, 100, config(shards, 3.0))
             .unwrap()
             .with_scheduler(scheduler)
-            .run_with_predictor(&predictor)
+            .run(predictor.model(), predictor.features())
     };
     let sequential = SchedulerConfig { workers: 1 };
     let one_shard = run(1, sequential);
@@ -106,8 +106,8 @@ fn churn_fleet(scenario: &Scenario, shards: usize) -> Fleet {
 fn churn_run_is_bit_reproducible_for_a_fixed_seed() {
     let predictor = trained_predictor();
     let scenario = crashing_scenario();
-    let a = churn_fleet(&scenario, 3).run_with_predictor(&predictor);
-    let b = churn_fleet(&scenario, 3).run_with_predictor(&predictor);
+    let a = churn_fleet(&scenario, 3).run(predictor.model(), predictor.features());
+    let b = churn_fleet(&scenario, 3).run(predictor.model(), predictor.features());
     assert_eq!(a, b, "fixed seeds must make churn runs bit-reproducible");
     let churn = a.churn.expect("churn plans report churn stats");
     assert_eq!(churn, b.churn.unwrap());
@@ -137,8 +137,8 @@ fn churn_run_is_bit_reproducible_for_a_fixed_seed() {
 fn churn_outcome_is_shard_count_invariant() {
     let predictor = trained_predictor();
     let scenario = crashing_scenario();
-    let one = churn_fleet(&scenario, 1).run_with_predictor(&predictor);
-    let three = churn_fleet(&scenario, 3).run_with_predictor(&predictor);
+    let one = churn_fleet(&scenario, 1).run(predictor.model(), predictor.features());
+    let three = churn_fleet(&scenario, 3).run(predictor.model(), predictor.features());
     assert_eq!(one.instances, three.instances);
     assert_eq!(one.churn, three.churn);
     assert_eq!(one.epochs, three.epochs);
@@ -155,7 +155,7 @@ fn pre_elastic_reports_still_deserialise() {
     let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
     let report = Fleet::uniform(&crashing_scenario(), policy, 2, 7, config(2, 2.0))
         .unwrap()
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("\"churn\":null"), "plain runs serialise null churn");
     assert!(json.contains("\"scheduler\":{"), "every run serialises its scheduler stats");
@@ -215,7 +215,7 @@ fn elastic_telemetry_lands_in_the_report() {
     let registry = aging_obs::Registry::shared();
     let report = churn_fleet(&crashing_scenario(), 2)
         .with_telemetry(std::sync::Arc::clone(&registry))
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
     let telemetry = report.telemetry.as_ref().expect("registry attached");
     assert_eq!(telemetry.counter("fleet_epochs_total", None), Some(report.epochs));
     let depth = telemetry.histogram("fleet_scheduler_queue_depth", None).expect("queue depth");

@@ -38,7 +38,7 @@ fn same_seeds_and_shards_produce_identical_reports() {
     let run = || {
         Fleet::uniform(&crashing_scenario(), policy, 8, 100, config(4, 3.0))
             .unwrap()
-            .run_with_predictor(&predictor)
+            .run(predictor.model(), predictor.features())
     };
     let a = run();
     let b = run();
@@ -68,7 +68,7 @@ fn reports_without_the_telemetry_field_still_deserialise() {
     let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
     let report = Fleet::uniform(&crashing_scenario(), policy, 2, 7, config(2, 2.0))
         .unwrap()
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("\"telemetry\":null"), "untelemetered runs serialise a null snapshot");
     // A pre-telemetry BENCH_*.json artifact is this report without the
@@ -93,7 +93,7 @@ fn shard_count_does_not_change_the_outcome() {
     let run = |shards| {
         Fleet::uniform(&crashing_scenario(), policy, 8, 2000, config(shards, 3.0))
             .unwrap()
-            .run_with_predictor(&predictor)
+            .run(predictor.model(), predictor.features())
     };
     let one = run(1);
     let three = run(3);
@@ -179,15 +179,16 @@ fn single_instance_fleet_matches_evaluate_policy_exactly() {
             let spec = InstanceSpec::new(name, scenario.clone(), policy, seed);
             let report = Fleet::new(vec![spec.clone()], fleet_config(1))
                 .unwrap()
-                .run_with_predictor(&predictor);
+                .run(predictor.model(), predictor.features());
             assert_matches_study(&report.instances[0], &single, &format!("solo {}", spec.name));
             specs.push(spec);
             singles.push(single);
         }
     }
     for shards in [1usize, 2, 4] {
-        let report =
-            Fleet::new(specs.clone(), fleet_config(shards)).unwrap().run_with_predictor(&predictor);
+        let report = Fleet::new(specs.clone(), fleet_config(shards))
+            .unwrap()
+            .run(predictor.model(), predictor.features());
         assert_eq!(report.instances.len(), singles.len());
         for (inst, single) in report.instances.iter().zip(&singles) {
             assert_matches_study(inst, single, &format!("shards={shards} {}", inst.name));
@@ -214,7 +215,8 @@ fn mixed_policy_fleet_reports_each_instance_under_its_own_policy() {
             7,
         ),
     ];
-    let report = Fleet::new(specs, config(3, 2.0)).unwrap().run_with_predictor(&predictor);
+    let report =
+        Fleet::new(specs, config(3, 2.0)).unwrap().run(predictor.model(), predictor.features());
     let [reactive, time_based, predictive] = &report.instances[..] else {
         panic!("expected three instance reports");
     };

@@ -57,7 +57,7 @@ fn frozen_runs_trace_identically_across_shard_counts() {
         let report = Fleet::uniform(&scenario, policy, 8, 100, config(shards, 3.0))
             .unwrap()
             .with_trace(Arc::clone(&recorder))
-            .run_with_predictor(&predictor);
+            .run(predictor.model(), predictor.features());
         (recorder.trace(), report)
     };
     let (one, report_one) = run(1);
@@ -101,7 +101,7 @@ fn same_run_traces_identically_twice() {
             .unwrap()
             .with_scheduler(SchedulerConfig { workers: 1 })
             .with_trace(Arc::clone(&recorder))
-            .run_with_predictor(&predictor);
+            .run(predictor.model(), predictor.features());
         recorder.trace().events.iter().map(shape).collect::<Vec<_>>()
     };
     assert_eq!(run(), run());

@@ -978,7 +978,7 @@ impl Digest64 {
 /// An elastic fleet journals every membership change, so replaying the log
 /// through this fold reconstructs exactly which instances were live when
 /// the process died — the membership half of crash recovery (checkpoint
-/// replay restores the model-state half). `check_journal` uses the same
+/// replay restores the model-state half). `inspect journal` uses the same
 /// fold to validate that retires always reference a prior join.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MembershipFold {

@@ -153,7 +153,7 @@ pub struct CandidateRecord {
     /// Whether it became the best point seen so far.
     pub new_best: bool,
     /// Best objective *after* this candidate — a monotone non-increasing
-    /// trajectory by construction, which `check_tune` asserts.
+    /// trajectory by construction, which `inspect tune` asserts.
     pub best_objective_secs: Option<f64>,
 }
 

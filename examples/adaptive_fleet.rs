@@ -114,7 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run 1: the frozen model rides out the shift.
     println!("── frozen model ──");
-    let frozen_report = Fleet::new(specs.clone(), config)?.run_with_predictor(&predictor);
+    let frozen_report =
+        Fleet::new(specs.clone(), config)?.run(predictor.model(), predictor.features());
     println!("{frozen_report}\n");
 
     // Run 2: same fleet, same seeds, but the model is served by a

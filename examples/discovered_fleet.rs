@@ -8,9 +8,10 @@
 //! an operator assigned every instance to `leak` or `steady`, trained a
 //! model per class and hand-picked per-class drift thresholds. The
 //! discovered run gets none of that: one seed class, one blended model,
-//! one shared template config. [`Fleet::run_discovered`] summarises every
+//! one shared seed config. [`Fleet::with_discovery`] makes the router's
+//! one class the seed of the partition: the fleet summarises every
 //! instance's labelled-checkpoint stream into an aging signature, splits
-//! the fleet when the silhouette and separation gates clear, spawns a
+//! the fleet when the silhouette and separation gates clear, registers a
 //! fresh adaptation pipeline for the new class, and re-routes instances
 //! at epoch boundaries.
 //!
@@ -22,8 +23,7 @@
 //! Two thirds of `--instances` form the shifting group, one third the
 //! steady group. `--json` writes both reports (default path
 //! `BENCH_discovered.json`); `--metrics` attaches a telemetry registry to
-//! the discovered run — [`Fleet::run_discovered`] wires its internal
-//! router and discovery engine automatically — and writes its snapshot
+//! the discovered run's fleet and router and writes its snapshot
 //! (default path `METRICS_discovered.json`); `--trace` attaches a flight
 //! recorder the same way and writes its Chrome trace-event JSON (default
 //! path `TRACE_discovered.json`) — discovery evaluations, class splits and
@@ -213,19 +213,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{hand_labelled}\n");
 
     // ── Run 2: zero operator classes — one blended model, one shared
-    // template, the partition discovered from the aging signatures.
+    // seed spec, the partition discovered from the aging signatures.
     println!("── automatic class discovery (no operator classes) ──");
     let blended_model =
         train(&features, &[leaky("train-30", 100, 30), leaky("train-125", 125, 30)]);
-    let template = ClassSpec::builder(LearnerKind::M5p.learner(), blended_model)
+    let seed = ClassSpec::builder(LearnerKind::M5p.learner(), blended_model)
         .config(hand_adapt(900.0)) // the shared default — not tuned per class
         .build();
     let setup = DiscoverySetup {
-        router: RouterConfig::builder().retrainer_threads(2).build(),
         discovery: DiscoveryConfig { seed: 7, ..Default::default() },
         signature: SignatureConfig::default(),
         reassess_every_epochs: 60,
-        ..DiscoverySetup::new(template)
     };
     let registry = args.metrics.as_ref().map(|_| Registry::shared());
     let recorder = args.trace.as_ref().map(|_| FlightRecorder::shared());
@@ -233,17 +231,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(dir) => Some(Arc::new(Journal::open(dir)?)),
         None => None,
     };
+    let mut router = AdaptiveRouter::builder(features.variables().to_vec())
+        .class(ServiceClass::new("discovered-0"), seed)
+        .config(RouterConfig::builder().retrainer_threads(2).build());
     let mut discovered_fleet = Fleet::new(specs(n_shift, n_steady, horizon, false), config)?;
     if let Some(registry) = &registry {
+        router = router.telemetry(Arc::clone(registry));
         discovered_fleet = discovered_fleet.with_telemetry(Arc::clone(registry));
     }
     if let Some(recorder) = &recorder {
+        router = router.trace(Arc::clone(recorder));
         discovered_fleet = discovered_fleet.with_trace(Arc::clone(recorder));
     }
     if let Some(journal) = &journal {
+        router = router.journal(Arc::clone(journal));
         discovered_fleet = discovered_fleet.with_journal(Arc::clone(journal));
     }
-    let discovered = discovered_fleet.run_discovered(&setup, &features)?;
+    let router = router.spawn();
+    let mut discovered = discovered_fleet.with_discovery(setup)?.run_routed(&router, &features)?;
+    // Settle the learning side so the reported counters are final, then
+    // re-snapshot the registry so late refit/swap observations are in.
+    router.quiesce(Duration::from_secs(60));
+    discovered.routing = Some(router.shutdown());
+    discovered.telemetry = registry.as_ref().map(|registry| registry.snapshot());
     println!("{discovered}\n");
     if let (Some(dir), Some(journal)) = (&args.journal, &journal) {
         journal.sync()?;

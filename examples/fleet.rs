@@ -117,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.shards,
         config.rejuvenation.horizon_secs / 3600.0
     );
-    let report = fleet.run_with_predictor(&predictor);
+    let report = fleet.run(predictor.model(), predictor.features());
     println!("{report}\n");
 
     // Worst and best instances by availability, for a quick fleet health view.

@@ -17,7 +17,7 @@
 //!    leak class's replayed mean TTF error by ≥ 20 % and that the search
 //!    is bit-reproducible for a fixed seed, then writes the full search
 //!    trajectory as `TUNE_tuned.json` — CI validates it with
-//!    `check_tune` (monotone best-objective trajectory, every promotion
+//!    `inspect tune` (monotone best-objective trajectory, every promotion
 //!    beats the margin).
 //! 3. **Go live** — the same fleet runs again with a
 //!    [`FleetTuner`] attached ([`Fleet::with_tuner`]): a background
@@ -51,7 +51,7 @@ mod common;
 use common::{leaky, parse_args, write_metrics, write_trace, FleetArgs};
 
 /// Path of the machine-readable search-trajectory artifact CI validates
-/// with `check_tune`.
+/// with `inspect tune`.
 const TUNE_ARTIFACT: &str = "TUNE_tuned.json";
 
 /// Both runs of the comparison, as written by `--json`.

@@ -94,7 +94,7 @@ fn adaptive_fleet_beats_frozen_model_under_workload_shift() {
     // Frozen run: the stale model rides out the shift.
     let frozen = Fleet::new(shifting_specs(n_instances, horizon), config)
         .unwrap()
-        .run_with_predictor(&predictor);
+        .run(predictor.model(), predictor.features());
     assert!(
         frozen.ttf_error_count > 0,
         "the shifted fleet must produce labelled prediction errors: {frozen}"

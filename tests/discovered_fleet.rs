@@ -1,6 +1,6 @@
 //! End-to-end guarantees of automatic class discovery (ISSUE 5):
 //!
-//! 1. with adaptation frozen (drift disabled in the template), the
+//! 1. with adaptation frozen (drift disabled in the seed spec), the
 //!    discovered partition — class count, assignment, reassignment
 //!    totals — and every instance outcome are **deterministic across
 //!    shard and worker counts**;
@@ -10,7 +10,9 @@
 //!    reassignments — the split gate holds against noise;
 //! 4. `Fleet::run_routed` against a router missing one of the fleet's
 //!    classes fails fast with an error naming the class, instead of
-//!    silently booking every checkpoint as unrouted.
+//!    silently booking every checkpoint as unrouted;
+//! 5. a discovering run needs a router serving exactly one seed class;
+//! 6. a routed run equals a discovering run that never splits.
 
 use software_aging::adapt::discovery::{DiscoveryConfig, SignatureConfig};
 use software_aging::adapt::{
@@ -25,6 +27,7 @@ use software_aging::ml::{LearnerKind, Regressor};
 use software_aging::monitor::FeatureSet;
 use software_aging::testbed::{MemLeakSpec, Scenario};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn leaky(name: &str, ebs: u64, n: u32) -> Scenario {
     Scenario::builder(name)
@@ -78,20 +81,44 @@ fn shared_initial_model(features: &FeatureSet) -> Arc<dyn Regressor> {
     Arc::new(AgingPredictor::train(&training, features.clone(), 42).unwrap().model().clone())
 }
 
-/// A frozen template (drift disabled): models never move, so outcomes and
-/// the partition are bit-deterministic — the regime for the determinism
-/// and stability suites.
-fn frozen_setup(features: &FeatureSet, reassess_every_epochs: u64) -> DiscoverySetup {
-    let template = ClassSpec::builder(LearnerKind::M5p.learner(), shared_initial_model(features))
+/// A frozen seed spec (drift disabled): models never move, so outcomes
+/// and the partition are bit-deterministic — the regime for the
+/// determinism and stability suites.
+fn frozen_seed(features: &FeatureSet) -> ClassSpec {
+    ClassSpec::builder(LearnerKind::M5p.learner(), shared_initial_model(features))
         .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
-        .build();
+        .build()
+}
+
+/// A router serving one class, `class`, under the frozen seed spec.
+fn frozen_router(features: &FeatureSet, class: &ServiceClass) -> AdaptiveRouter {
+    AdaptiveRouter::builder(features.variables().to_vec())
+        .class(class.clone(), frozen_seed(features))
+        .config(RouterConfig::builder().retrainer_threads(2).build())
+        .spawn()
+}
+
+fn discovery(reassess_every_epochs: u64) -> DiscoverySetup {
     DiscoverySetup {
-        router: RouterConfig::builder().retrainer_threads(2).build(),
         discovery: DiscoveryConfig { seed: 7, ..Default::default() },
         signature: SignatureConfig::default(),
         reassess_every_epochs,
-        ..DiscoverySetup::new(template)
     }
+}
+
+/// Runs `fleet` with discovery attached, against a frozen router whose
+/// one class `discovered-0` is the seed; the router is quiesced so the
+/// reported counters are settled.
+fn discovering_run(fleet: Fleet, features: &FeatureSet, reassess_every_epochs: u64) -> FleetReport {
+    let router = frozen_router(features, &ServiceClass::new("discovered-0"));
+    let mut report = fleet
+        .with_discovery(discovery(reassess_every_epochs))
+        .unwrap()
+        .run_routed(&router, features)
+        .unwrap();
+    router.quiesce(Duration::from_secs(60));
+    report.routing = Some(router.shutdown());
+    report
 }
 
 #[derive(Debug, PartialEq)]
@@ -126,11 +153,10 @@ fn discovered_partition_is_deterministic_across_shard_counts() {
     let horizon = 4.0 * 3600.0;
     let run = |shards: usize, workers: usize| {
         let specs = unlabelled_specs(9, 6, horizon);
-        Fleet::new(specs, fleet_config(horizon, shards))
+        let fleet = Fleet::new(specs, fleet_config(horizon, shards))
             .unwrap()
-            .with_scheduler(SchedulerConfig { workers })
-            .run_discovered(&frozen_setup(&features, 120), &features)
-            .unwrap()
+            .with_scheduler(SchedulerConfig { workers });
+        discovering_run(fleet, &features, 120)
     };
     let one = run(1, 0);
     let five = run(5, 0);
@@ -157,10 +183,8 @@ fn two_regimes_are_separated_into_pure_classes() {
     let features = FeatureSet::exp42();
     let horizon = 4.0 * 3600.0;
     let specs = unlabelled_specs(9, 6, horizon);
-    let report = Fleet::new(specs, fleet_config(horizon, 4))
-        .unwrap()
-        .run_discovered(&frozen_setup(&features, 120), &features)
-        .unwrap();
+    let report =
+        discovering_run(Fleet::new(specs, fleet_config(horizon, 4)).unwrap(), &features, 120);
     let discovery = report.discovery.as_ref().unwrap();
     let active = discovery.classes.iter().filter(|c| !c.retired).count();
     assert!(active >= 2, "the two regimes must be told apart: {discovery:?}");
@@ -195,10 +219,8 @@ fn stationary_fleet_is_never_carved_up() {
     let specs: Vec<InstanceSpec> = (0..10)
         .map(|i| InstanceSpec::new(format!("svc-{i:02}"), scenario.clone(), POLICY, 40 + i as u64))
         .collect();
-    let report = Fleet::new(specs, fleet_config(horizon, 3))
-        .unwrap()
-        .run_discovered(&frozen_setup(&features, 120), &features)
-        .unwrap();
+    let report =
+        discovering_run(Fleet::new(specs, fleet_config(horizon, 3)).unwrap(), &features, 120);
     let discovery = report.discovery.as_ref().unwrap();
     assert!(discovery.evaluations >= 3, "the engine must actually have looked: {discovery:?}");
     assert_eq!(discovery.splits, 0, "a stationary fleet must not be split: {discovery:?}");
@@ -262,21 +284,16 @@ fn routed_run_equals_a_discovered_run_that_never_splits() {
     let specs: Vec<InstanceSpec> = (0..10)
         .map(|i| InstanceSpec::new(format!("svc-{i:02}"), scenario.clone(), POLICY, 40 + i as u64))
         .collect();
-    let setup = frozen_setup(&features, 120);
     let seed = ServiceClass::new("discovered-0");
     for (shards, workers) in [(1, 0), (3, 0), (3, 1), (4, 2)] {
-        let discovered = Fleet::new(specs.clone(), fleet_config(horizon, shards))
+        let fleet = Fleet::new(specs.clone(), fleet_config(horizon, shards))
             .unwrap()
-            .with_scheduler(SchedulerConfig { workers })
-            .run_discovered(&setup, &features)
-            .unwrap();
+            .with_scheduler(SchedulerConfig { workers });
+        let discovered = discovering_run(fleet, &features, 120);
         let partition = discovered.discovery.as_ref().unwrap();
         assert_eq!(partition.splits, 0, "the oracle needs a partition that never splits");
 
-        let router = AdaptiveRouter::builder(features.variables().to_vec())
-            .class(seed.clone(), setup.template.clone())
-            .config(RouterConfig::builder().retrainer_threads(2).build())
-            .spawn();
+        let router = frozen_router(&features, &seed);
         let labelled: Vec<InstanceSpec> =
             specs.iter().map(|s| s.clone().with_class(seed.clone())).collect();
         let routed = Fleet::new(labelled, fleet_config(horizon, shards))
@@ -284,7 +301,7 @@ fn routed_run_equals_a_discovered_run_that_never_splits() {
             .with_scheduler(SchedulerConfig { workers })
             .run_routed(&router, &features)
             .unwrap();
-        router.quiesce(std::time::Duration::from_secs(60));
+        router.quiesce(Duration::from_secs(60));
         let routed_stats = router.shutdown();
 
         let label = format!("{shards} shards, {workers} workers");
@@ -305,4 +322,35 @@ fn routed_run_equals_a_discovered_run_that_never_splits() {
             routed_stats.classes[0].stats.generation
         );
     }
+}
+
+/// Discovery grows the partition from the router's one class: a router
+/// serving two classes (or none) is rejected before any epoch runs.
+#[test]
+fn discovery_needs_a_router_with_exactly_one_seed_class() {
+    let features = FeatureSet::exp42();
+    let scenario = leaky("leaky", 100, 30);
+    let predictor =
+        AgingPredictor::train(std::slice::from_ref(&scenario), features.clone(), 7).unwrap();
+    let spec =
+        ClassSpec::builder(LearnerKind::LinReg.learner(), Arc::new(predictor.model().clone()))
+            .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
+            .build();
+    let router = AdaptiveRouter::builder(features.variables().to_vec())
+        .class(ServiceClass::new("a"), spec.clone())
+        .class(ServiceClass::new("b"), spec)
+        .spawn();
+    let specs = vec![InstanceSpec::new("svc", scenario, POLICY, 1)];
+    let err = Fleet::new(specs, fleet_config(3600.0, 1))
+        .unwrap()
+        .with_discovery(discovery(120))
+        .unwrap()
+        .run_routed(&router, &features)
+        .expect_err("two classes leave the seed ambiguous");
+    assert!(
+        matches!(err, FleetError::InvalidParameter(ref m) if m.contains("exactly one")),
+        "{err}"
+    );
+    let stats = router.shutdown();
+    assert_eq!(stats.ingested_checkpoints, 0, "nothing may have run");
 }

@@ -244,7 +244,8 @@ fn single_class_routed_run_is_bit_identical_to_the_frozen_engine() {
         .map(|i| InstanceSpec::new(format!("svc-{i}"), scenario.clone(), POLICY, 900 + i as u64))
         .collect();
 
-    let frozen = Fleet::new(specs.clone(), config).unwrap().run_with_predictor(&predictor);
+    let frozen =
+        Fleet::new(specs.clone(), config).unwrap().run(predictor.model(), predictor.features());
 
     // Default pool (one worker per shard) and the sequential 1-worker pool.
     for workers in [0, 1] {

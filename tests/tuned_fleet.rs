@@ -10,7 +10,9 @@
 //!    incumbent ⇒ the same [`SearchOutcome`], candidate for candidate;
 //! 3. a live fleet run with a [`FleetTuner`] attached whose gate can
 //!    never fire is report-identical to the same run without a tuner —
-//!    attaching the machinery is free until a promotion actually lands.
+//!    attaching the machinery is free until a promotion actually lands;
+//! 4. a tuner attached to a run with class discovery runs beside it like
+//!    on any routed run.
 
 use software_aging::adapt::{
     AdaptConfig, AdaptiveRouter, CheckpointBatch, ClassSpec, DriftConfig, LabelledCheckpoint,
@@ -18,7 +20,7 @@ use software_aging::adapt::{
 };
 use software_aging::core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
 use software_aging::dataset::Dataset;
-use software_aging::fleet::{Fleet, FleetConfig, InstanceSpec};
+use software_aging::fleet::{DiscoverySetup, Fleet, FleetConfig, InstanceSpec};
 use software_aging::journal::{Journal, JournalCheckpoint, JournalRecord};
 use software_aging::ml::linreg::LinRegLearner;
 use software_aging::ml::{Learner, LearnerKind, Regressor};
@@ -288,4 +290,64 @@ fn a_tuner_whose_gate_never_fires_leaves_the_fleet_report_identical() {
         untuned, tuned,
         "with the gate never firing, the tuned run must be report-identical"
     );
+}
+
+/// Discovery is a setup option of the one live path, so a tuner attached
+/// to a discovering run is started, stepped and joined like on any routed
+/// run: the report carries its stats.
+#[test]
+fn a_tuner_runs_beside_class_discovery() {
+    let features = FeatureSet::exp42();
+    let horizon = 2.0 * 3600.0;
+    let config = FleetConfig {
+        shards: 2,
+        rejuvenation: RejuvenationConfig { horizon_secs: horizon, ..Default::default() },
+        counterfactual_horizon_secs: 3600.0,
+    };
+    let scenario = Scenario::builder("steady-leak")
+        .emulated_browsers(100)
+        .memory_leak(MemLeakSpec::new(30))
+        .run_to_crash()
+        .build();
+    let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
+    let specs: Vec<InstanceSpec> = (0..4)
+        .map(|i| InstanceSpec::new(format!("svc-{i:03}"), scenario.clone(), policy, 700 + i))
+        .collect();
+    let initial: Arc<dyn Regressor> = Arc::new(
+        AgingPredictor::train(std::slice::from_ref(&scenario), features.clone(), 42)
+            .unwrap()
+            .model()
+            .clone(),
+    );
+    let dir = tmp_dir("discovery");
+    let journal = Arc::new(Journal::open(&dir).unwrap());
+    let seed = ServiceClass::new("discovered-0");
+    let router = AdaptiveRouter::builder(features.variables().to_vec())
+        .class(
+            seed.clone(),
+            ClassSpec::builder(LearnerKind::LinReg.learner(), Arc::clone(&initial))
+                .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
+                .build(),
+        )
+        .journal(Arc::clone(&journal))
+        .spawn();
+    let tuner = FleetTuner::new(
+        &dir,
+        features.variables().to_vec(),
+        TuneConfig { candidates: 2, ..TuneConfig::default() },
+        vec![TunedClass { class: seed, incumbent: detuned_point(), initial }],
+    );
+    let report = Fleet::new(specs, config)
+        .unwrap()
+        .with_journal(journal)
+        .with_tuner(tuner)
+        .with_discovery(DiscoverySetup { reassess_every_epochs: 60, ..Default::default() })
+        .unwrap()
+        .run_routed(&router, &features)
+        .unwrap();
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(report.discovery.is_some(), "discovery ran");
+    assert!(report.tuning.is_some(), "the tuner must run beside a discovering fleet");
 }
