@@ -166,6 +166,21 @@ impl std::error::Error for FleetError {}
 
 /// Validates a spec the way `evaluate_policy` validates its inputs.
 pub(crate) fn validate_spec(spec: &InstanceSpec) -> Result<(), FleetError> {
+    // Placement reads every roster member's workload before the run, and
+    // each service epoch builds a simulator from these scenarios: reject
+    // one the simulator would refuse here, as an error.
+    let shifted = spec.shift.as_ref().map(|shift| &shift.scenario);
+    for scenario in std::iter::once(&spec.scenario).chain(shifted) {
+        let problems = scenario.config.validate();
+        if !problems.is_empty() || scenario.phases.is_empty() {
+            return Err(FleetError::InvalidParameter(format!(
+                "instance `{}`: scenario `{}` is not runnable: {problems:?}, {} phases",
+                spec.name,
+                scenario.name,
+                scenario.phases.len()
+            )));
+        }
+    }
     if let Some(shift) = &spec.shift {
         if !shift.after_secs.is_finite() || shift.after_secs < 0.0 {
             return Err(FleetError::InvalidParameter(format!(

@@ -12,7 +12,7 @@ use crate::report::{
     InstanceReport, JournalStats,
 };
 use crate::scheduler::{run_elastic, ElasticArgs, SchedulerConfig};
-use crate::shard::{Shard, ShardInstruments};
+use crate::shard::{place_by_load, Shard, ShardInstruments};
 use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator};
 use aging_adapt::{AdaptiveRouter, CheckpointBus, ModelService, ServiceClass};
 use aging_core::RejuvenationPolicy;
@@ -23,6 +23,7 @@ use aging_obs::{
     recorder_of, trace_of, CounterHandle, EventKind, EventScope, FlightRecorder, GaugeHandle,
     HistogramHandle, Recorder, Registry, TraceHandle, Unit,
 };
+use aging_testbed::workload::Workload;
 use aging_testbed::Scenario;
 use aging_tune::FleetTuner;
 use std::collections::HashMap;
@@ -853,14 +854,24 @@ impl Fleet {
         let n_instances = specs.len();
         let n_shards = config.shards.min(n_instances).max(1);
 
-        // Round-robin instances over shards; the original index rides along
-        // so reports return in spec order regardless of sharding.
+        // One slot table for the whole potential roster (founders, scripted
+        // joiners, the autoscale pool), weighted by each member's expected
+        // request rate: the simulator's cost per checkpoint is linear in
+        // it. The original index rides along so reports return in spec
+        // order regardless of sharding.
+        let placement = place_by_load(
+            &potential_roster(&specs, churn.as_ref())
+                .iter()
+                .map(|(_, spec, _)| Workload::new(spec.scenario.config.workload).expected_rps())
+                .collect::<Vec<_>>(),
+            n_shards,
+        );
         let mut shards: Vec<Shard> = {
             let mut buckets: Vec<Vec<(usize, Instance)>> =
                 (0..n_shards).map(|_| Vec::new()).collect();
             for (i, spec) in specs.into_iter().enumerate() {
                 let instance = make_instance(spec, features, &binding, &classes, 0, i);
-                buckets[i % n_shards].push((i, instance));
+                buckets[placement[i]].push((i, instance));
             }
             buckets
                 .into_iter()
@@ -873,6 +884,7 @@ impl Fleet {
         let started = Instant::now();
         let outcome = run_elastic(ElasticArgs {
             shards: &mut shards,
+            placement: &placement,
             binding: &binding,
             classes: &classes,
             config: &config,

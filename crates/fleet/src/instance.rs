@@ -30,6 +30,7 @@ use aging_adapt::{CheckpointBatch, LabelledCheckpoint, ServiceClass};
 use aging_core::{clamp_ttf, RejuvenationPolicy};
 use aging_ml::FeatureMatrix;
 use aging_monitor::{FeatureExtractor, FeatureSet, TTF_CAP_SECS};
+use aging_obs::HistogramHandle;
 use aging_testbed::{Simulator, StepOutcome};
 
 /// What an instance did during one fleet tick.
@@ -114,6 +115,9 @@ pub struct Instance {
     retired_epoch: Option<u64>,
     retired_forced: bool,
     retirement_announced: bool,
+    /// The owning shard's `fleet_counterfactual_fork_seconds`; disabled
+    /// (no clock reads) unless the fleet runs with telemetry.
+    fork_timer: HistogramHandle,
 }
 
 impl Instance {
@@ -156,7 +160,14 @@ impl Instance {
             retired_epoch: None,
             retired_forced: false,
             retirement_announced: false,
+            fork_timer: HistogramHandle::disabled(),
         }
+    }
+
+    /// Times this instance's counterfactual forks on `timer` (set by the
+    /// owning shard).
+    pub(crate) fn set_fork_timer(&mut self, timer: HistogramHandle) {
+        self.fork_timer = timer;
     }
 
     /// Advances one checkpoint (or epoch-boundary event). Returns
@@ -302,7 +313,9 @@ impl Instance {
         let mut end = EpochEnd::Unlabelled;
         if config.counterfactual_horizon_secs > 0.0 {
             let sim = self.sim.as_ref().expect("rejuvenation happens mid-epoch");
+            let fork_span = self.fork_timer.span();
             let ttf = sim.frozen_time_to_crash(config.counterfactual_horizon_secs);
+            fork_span.finish();
             if ttf < config.counterfactual_horizon_secs {
                 self.crashes_avoided += 1;
             }

@@ -10,9 +10,10 @@
 //!
 //! # Architecture
 //!
-//! - Instances are round-robined across `shards` shards, and the fleet
-//!   advances in **epochs**: every live instance consumes one 15-second
-//!   monitoring checkpoint per epoch.
+//! - Instances are placed on `shards` shards by expected request rate
+//!   (each in roster order to the least-loaded shard, so equal rates give
+//!   round robin), and the fleet advances in **epochs**: every live
+//!   instance consumes one 15-second monitoring checkpoint per epoch.
 //! - An event-driven scheduler runs the epochs: each shard is a task on a
 //!   ready queue, drained by a fixed worker pool (one thread per shard by
 //!   default, sized by [`Fleet::with_scheduler`]), and a shard runs its
@@ -170,6 +171,9 @@ mod tests {
             ..Default::default()
         };
         assert!(Fleet::new(vec![spec(RejuvenationPolicy::Reactive)], bad_horizon).is_err());
+        let mut idle = spec(RejuvenationPolicy::Reactive);
+        idle.scenario.config.workload.emulated_browsers = 0;
+        assert!(Fleet::new(vec![idle], FleetConfig::default()).is_err());
     }
 
     #[test]
@@ -314,7 +318,7 @@ mod tests {
         let registry = aging_obs::Registry::shared();
         let report = Fleet::uniform(
             &crashing_scenario(),
-            RejuvenationPolicy::Reactive,
+            RejuvenationPolicy::TimeBased { interval_secs: 900.0 },
             4,
             9,
             short_config(2),
@@ -328,6 +332,14 @@ mod tests {
         assert_eq!(advances.len(), 2, "one epoch-advance series per shard");
         assert!(advances.iter().all(|h| h.count > 0), "every shard advances every epoch");
         assert!(telemetry.histogram("fleet_epoch_predict_seconds", Some("1")).is_some());
+        // One counterfactual fork per proactive restart, timed on its shard.
+        assert!(report.rejuvenations > 0, "the time-based policy must restart");
+        let forks: u64 = telemetry
+            .histogram_series("fleet_counterfactual_fork_seconds")
+            .iter()
+            .map(|h| h.count)
+            .sum();
+        assert_eq!(forks, report.rejuvenations);
         let timing = report.shard_timing_summary().expect("phases recorded");
         assert!(timing.contains("slowest shard"), "{timing}");
         assert!(timing.contains("max/min busy"), "shard imbalance must be reported: {timing}");

@@ -66,6 +66,8 @@ pub(crate) struct ElasticOutcome {
 /// Everything the scheduler borrows from `Fleet::run_bound`.
 pub(crate) struct ElasticArgs<'a, 'b> {
     pub(crate) shards: &'a mut [Shard],
+    /// Owning shard of every potential-roster member, by global index.
+    pub(crate) placement: &'a [usize],
     pub(crate) binding: &'a ModelBinding<'b>,
     pub(crate) classes: &'a [ServiceClass],
     pub(crate) config: &'a FleetConfig,
@@ -263,6 +265,7 @@ struct Ctx<'a, 'b> {
     core: Mutex<Core>,
     cv: Condvar,
     slots: Vec<Mutex<ShardSlot<'a>>>,
+    placement: &'a [usize],
     binding: &'a ModelBinding<'b>,
     classes: &'a [ServiceClass],
     config: &'a FleetConfig,
@@ -365,7 +368,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
     // Queue the scripted plan. Global indices continue the roster: the
     // initial specs hold 0..n_initial, scripted joins follow in epoch
     // order, the autoscale pool comes last — and every roster member owns
-    // slot `global % n_shards`, the same round-robin as the founders.
+    // the shard the placement table gave it, like the founders.
     let mut pending_joins: Vec<VecDeque<PendingJoin>> =
         (0..n_shards).map(|_| VecDeque::new()).collect();
     let mut pending_retires: Vec<VecDeque<(u64, usize)>> =
@@ -378,7 +381,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
         for (k, join) in joins.iter().enumerate() {
             let global = n_initial + k;
             name_to_global.push((join.spec.name.clone(), global));
-            pending_joins[global % n_shards].push_back(PendingJoin {
+            pending_joins[args.placement[global]].push_back(PendingJoin {
                 at_epoch: join.at_epoch,
                 global,
                 spec: join.spec.clone(),
@@ -396,7 +399,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
                 .find(|(name, _)| *name == retire.instance)
                 .map(|(_, g)| *g)
                 .expect("churn plan validated against the roster");
-            pending_retires[global % n_shards].push_back((retire.at_epoch, global));
+            pending_retires[args.placement[global]].push_back((retire.at_epoch, global));
         }
     }
 
@@ -445,6 +448,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
                 })
             })
             .collect(),
+        placement: args.placement,
         binding: args.binding,
         classes: args.classes,
         config: args.config,
@@ -709,7 +713,7 @@ fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
                 let Some((global, spec)) = core.autoscale_pool.pop_front() else {
                     break;
                 };
-                let target = global % core.live.len();
+                let target = ctx.placement[global];
                 core.pending_joins[target].push_back(PendingJoin {
                     at_epoch: boundary,
                     global,

@@ -50,10 +50,15 @@ pub(crate) struct ShardInstruments {
     /// `fleet_epoch_publish_seconds{shard}` — draining labelled batches
     /// onto the adaptation bus.
     publish: HistogramHandle,
+    /// `fleet_counterfactual_fork_seconds{shard}` — one frozen-rate fork
+    /// per proactive restart. Nested inside the phase that triggers the
+    /// restart (advance for time-based, predict for predictive policies).
+    fork: HistogramHandle,
 }
 
 impl ShardInstruments {
-    /// Resolves the three phase histograms for one shard id.
+    /// Resolves the three phase histograms and the fork histogram for one
+    /// shard id.
     pub(crate) fn resolve(recorder: &dyn Recorder, shard: usize) -> Self {
         let shard = shard.to_string();
         ShardInstruments {
@@ -74,6 +79,13 @@ impl ShardInstruments {
             publish: recorder.histogram_with(
                 "fleet_epoch_publish_seconds",
                 "Per-epoch wall time publishing labelled checkpoint batches onto the bus",
+                Unit::Seconds,
+                "shard",
+                &shard,
+            ),
+            fork: recorder.histogram_with(
+                "fleet_counterfactual_fork_seconds",
+                "Wall time of one counterfactual frozen-rate fork at a proactive restart",
                 Unit::Seconds,
                 "shard",
                 &shard,
@@ -132,8 +144,12 @@ impl Shard {
     }
 
     /// Attaches epoch-phase timing instruments (resolved once per shard,
-    /// before the worker pool starts).
+    /// before the worker pool starts) and hands the fork timer to every
+    /// instance.
     pub(crate) fn set_instruments(&mut self, instruments: ShardInstruments) {
+        for (_, instance) in &mut self.instances {
+            instance.set_fork_timer(instruments.fork.clone());
+        }
         self.instruments = instruments;
     }
 
@@ -152,7 +168,8 @@ impl Shard {
     /// append-only, so existing pending-row bookkeeping stays valid.
     /// Called at the top of a fleet epoch only, before any row of that
     /// epoch is batched.
-    pub(crate) fn admit(&mut self, fleet_index: usize, instance: Instance) {
+    pub(crate) fn admit(&mut self, fleet_index: usize, mut instance: Instance) {
+        instance.set_fork_timer(self.instruments.fork.clone());
         self.instances.push((fleet_index, instance));
     }
 
@@ -239,5 +256,61 @@ impl Shard {
             publish_span.finish();
         }
         live
+    }
+}
+
+/// Places every member of a fleet's potential roster on a shard: in
+/// roster order, each member goes to the shard whose members' summed
+/// `weights` is smallest so far, ties to the lowest shard index. Returns
+/// the shard of each roster index. Equal weights reproduce round robin
+/// (`i % n_shards`) exactly; unequal ones keep every shard's load within
+/// one member's weight of the others'.
+pub(crate) fn place_by_load(weights: &[f64], n_shards: usize) -> Vec<usize> {
+    let mut loads = vec![0.0_f64; n_shards];
+    weights
+        .iter()
+        .map(|&w| {
+            // `min_by` keeps the first of equal minima: the lowest index.
+            let target = (0..n_shards)
+                .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
+                .expect("a fleet has at least one shard");
+            loads[target] += w;
+            target
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aging_testbed::config::WorkloadConfig;
+    use aging_testbed::workload::Workload;
+
+    #[test]
+    fn equal_weights_place_round_robin() {
+        for n_shards in 1..=5 {
+            let placement = place_by_load(&[14.3; 23], n_shards);
+            let round_robin: Vec<usize> = (0..23).map(|i| i % n_shards).collect();
+            assert_eq!(placement, round_robin, "{n_shards} shards");
+        }
+    }
+
+    #[test]
+    fn mixed_request_rates_balance_within_one_member() {
+        let rps = |ebs| {
+            Workload::new(WorkloadConfig { emulated_browsers: ebs, ..Default::default() })
+                .expected_rps()
+        };
+        let weights: Vec<f64> = (0..120).map(|i| rps([50, 100, 150, 200][i % 4])).collect();
+        for n_shards in [2, 3, 4, 8] {
+            let placement = place_by_load(&weights, n_shards);
+            let mut loads = vec![0.0; n_shards];
+            for (&shard, &w) in placement.iter().zip(&weights) {
+                loads[shard] += w;
+            }
+            let (lo, hi) =
+                loads.iter().fold((f64::INFINITY, 0.0_f64), |(lo, hi), &l| (lo.min(l), hi.max(l)));
+            assert!(hi - lo <= rps(200) + 1e-9, "{n_shards} shards: loads {loads:?}");
+        }
     }
 }

@@ -162,6 +162,10 @@ struct IntervalAccum {
 }
 
 /// The simulation engine. See the module docs.
+///
+/// Checkpoints are handed to the caller by [`Simulator::step`] and not
+/// retained, so the live state (and the cost of a clone) does not grow
+/// with simulated time; [`Simulator::run_to_completion`] collects them.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: SimConfig,
@@ -182,11 +186,9 @@ pub struct Simulator {
     events: BinaryHeap<Reverse<(u64, u64, Event)>>,
     pending_gc_pause_ms: f64,
     interval: IntervalAccum,
-    samples: Vec<MetricSample>,
     crash: Option<CrashInfo>,
     finished: bool,
     frozen: bool,
-    keep_samples: bool,
 }
 
 impl Simulator {
@@ -231,11 +233,9 @@ impl Simulator {
             events: BinaryHeap::new(),
             pending_gc_pause_ms: 0.0,
             interval: IntervalAccum::default(),
-            samples: Vec::new(),
             crash: None,
             finished: false,
             frozen: false,
-            keep_samples: true,
         };
 
         sim.enter_phase(0);
@@ -465,9 +465,6 @@ impl Simulator {
                 }
                 Event::Checkpoint => {
                     let sample = self.take_sample();
-                    if self.keep_samples {
-                        self.samples.push(sample);
-                    }
                     self.push(self.time_ms + self.config.checkpoint_interval_ms, Event::Checkpoint);
                     return StepOutcome::Checkpoint(sample);
                 }
@@ -495,11 +492,14 @@ impl Simulator {
 
     /// Runs the scenario to its end and returns the trace.
     pub fn run_to_completion(mut self) -> RunTrace {
-        while let StepOutcome::Checkpoint(_) = self.step() {}
+        let mut samples = Vec::new();
+        while let StepOutcome::Checkpoint(sample) = self.step() {
+            samples.push(sample);
+        }
         RunTrace {
             scenario: self.scenario_name,
             seed: self.seed,
-            samples: self.samples,
+            samples,
             crash: self.crash,
             duration_secs: self.time_ms as f64 / 1000.0,
         }
@@ -513,8 +513,6 @@ impl Simulator {
     pub fn frozen_time_to_crash(&self, cap_secs: f64) -> f64 {
         let mut fork = self.clone();
         fork.frozen = true;
-        fork.keep_samples = false;
-        fork.samples = Vec::new();
         let cap_ms = (cap_secs * 1000.0) as u64;
         fork.config.max_sim_time_ms = self.time_ms.saturating_add(cap_ms).saturating_add(60_000);
         let start_ms = self.time_ms;

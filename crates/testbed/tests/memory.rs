@@ -24,25 +24,31 @@ fn count(bytes: usize) {
     let _ = ALLOCATED.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
-// SAFETY: every method forwards to `System` with the caller's arguments.
+// SAFETY: every method forwards to `System` with the caller's own layout
+// and pointer, so `System`'s guarantees carry over unchanged; the counter
+// is thread-local and publishes no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        System.alloc(layout)
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        System.alloc_zeroed(layout)
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 
