@@ -158,7 +158,6 @@ fn replay_impl(
     classes: Vec<(ServiceClass, ClassSpec)>,
     scored: bool,
 ) -> io::Result<ReplayOutcome> {
-    let read = Journal::read(dir)?;
     let mut pipelines: Vec<ClassState> = classes
         .into_iter()
         .map(|(class, spec)| {
@@ -179,21 +178,19 @@ fn replay_impl(
         })
         .collect();
 
-    let mut records = 0u64;
     let mut rows = 0u64;
     let mut skipped_records = 0u64;
     let mut partition = None;
-    for (_seq, record) in &read.records {
-        records += 1;
+    let read = Journal::for_each_record(dir, |_seq, record| {
         match record {
             JournalRecord::Checkpoints { class, rows: batch } => {
                 let Some(state) = pipelines.iter_mut().find(|s| s.class.as_str() == class) else {
                     skipped_records += 1;
-                    continue;
+                    return;
                 };
                 rows += batch.len() as u64;
                 let mut ingested: Vec<LabelledCheckpoint> =
-                    batch.iter().cloned().map(LabelledCheckpoint::from).collect();
+                    batch.into_iter().map(LabelledCheckpoint::from).collect();
                 if scored {
                     // One snapshot per batch: generations only move at
                     // ingest boundaries, so every row in this batch was
@@ -221,8 +218,7 @@ fn replay_impl(
                 state.pipeline.ingest(ingested);
             }
             JournalRecord::PartitionAssigned { version, assignment } => {
-                partition =
-                    Some(ReplayPartition { version: *version, assignment: assignment.clone() });
+                partition = Some(ReplayPartition { version, assignment });
             }
             // Audit records: regenerated by re-execution, not re-applied.
             // Membership records fold into a roster via
@@ -235,7 +231,7 @@ fn replay_impl(
             | JournalRecord::InstanceJoined { .. }
             | JournalRecord::InstanceRetired { .. } => {}
         }
-    }
+    })?;
 
     let classes = pipelines
         .into_iter()
@@ -258,7 +254,7 @@ fn replay_impl(
 
     Ok(ReplayOutcome {
         classes,
-        records,
+        records: read.records,
         rows,
         skipped_records,
         truncated_bytes: read.truncated_bytes,

@@ -678,21 +678,20 @@ impl AdaptiveRouterBuilder {
 
         if let Some(journal) = journal {
             if replay {
-                let read = Journal::read(journal.dir())
-                    .expect("journal replay: journal directory unreadable or corrupt mid-log");
                 let mut applied = 0u64;
-                for (_seq, record) in &read.records {
+                Journal::for_each_record(journal.dir(), |_seq, record| {
                     if let JournalRecord::Checkpoints { class, rows } = record {
                         applied += 1;
                         // Batch granularity is load-bearing: the retrain
                         // gate fires once per routed batch, as it did live.
                         pipelines.process(CheckpointBatch {
                             source: "journal".to_string(),
-                            class: ServiceClass::new(class.clone()),
-                            checkpoints: rows.iter().cloned().map(Into::into).collect(),
+                            class: ServiceClass::new(class),
+                            checkpoints: rows.into_iter().map(Into::into).collect(),
                         });
                     }
-                }
+                })
+                .expect("journal replay: journal directory unreadable or corrupt mid-log");
                 // Wait for the refit jobs the replay enqueued — bounded,
                 // so a wedged learner degrades to a cold start rather
                 // than hanging the restart forever.

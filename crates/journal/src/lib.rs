@@ -49,7 +49,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -520,6 +520,18 @@ pub struct ReadOutcome {
     pub segments: u64,
 }
 
+/// What a streaming read ([`Journal::for_each_record`]) reports besides
+/// the records it handed out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadSummary {
+    /// Records handed to the visitor.
+    pub records: u64,
+    /// Bytes of torn tail truncated (logically) from the last segment.
+    pub truncated_bytes: u64,
+    /// Segment files scanned.
+    pub segments: u64,
+}
+
 impl Journal {
     /// Opens (creating if absent) the journal at `dir` with default
     /// options, truncating any torn tail left by a crash.
@@ -531,7 +543,7 @@ impl Journal {
     pub fn open_with(dir: impl AsRef<Path>, options: JournalOptions) -> io::Result<Journal> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let scan = scan_dir(&dir, true)?;
+        let scan = scan_dir(&dir, true, &mut |_, _| {})?;
         let (segment, next_seq) = match scan.segments.last() {
             None => {
                 // Fresh journal: create segment 0.
@@ -670,12 +682,30 @@ impl Journal {
     /// CRC mid-log, an out-of-order sequence number, an undecodable
     /// payload — is an error.
     pub fn read(dir: impl AsRef<Path>) -> io::Result<ReadOutcome> {
-        let scan = scan_dir(dir.as_ref(), false)?;
         let mut records = Vec::new();
-        for segment in &scan.segments {
-            records.extend(segment.records.iter().cloned());
-        }
+        let summary = Journal::for_each_record(dir, |seq, record| records.push((seq, record)))?;
         Ok(ReadOutcome {
+            records,
+            truncated_bytes: summary.truncated_bytes,
+            segments: summary.segments,
+        })
+    }
+
+    /// [`read`](Journal::read) without materialising the log: hands each
+    /// `(seq, record)` to `visit` in journal order as it is decoded, so
+    /// memory stays at one frame however long the journal is. Same
+    /// tolerance as `read`; on corruption mid-log the records before it
+    /// have already been visited when the error returns.
+    pub fn for_each_record(
+        dir: impl AsRef<Path>,
+        mut visit: impl FnMut(u64, JournalRecord),
+    ) -> io::Result<ReadSummary> {
+        let mut records = 0u64;
+        let scan = scan_dir(dir.as_ref(), false, &mut |seq, record| {
+            records += 1;
+            visit(seq, record);
+        })?;
+        Ok(ReadSummary {
             records,
             truncated_bytes: scan.truncated_bytes,
             segments: scan.segments.len() as u64,
@@ -691,9 +721,8 @@ impl Journal {
     pub fn compact(&self, keep_rows_per_class: usize) -> io::Result<CompactionStats> {
         let mut state = self.state.lock().expect("journal writer poisoned");
         state.file.sync_data()?;
-        let scan = scan_dir(&self.dir, false)?;
-        let all: Vec<(u64, JournalRecord)> =
-            scan.segments.iter().flat_map(|s| s.records.iter().cloned()).collect();
+        let mut all: Vec<(u64, JournalRecord)> = Vec::new();
+        let scan = scan_dir(&self.dir, false, &mut |seq, record| all.push((seq, record)))?;
 
         // Walk backwards budgeting checkpoint rows per class.
         let mut budget: HashMap<String, u64> = HashMap::new();
@@ -775,7 +804,6 @@ struct ScannedSegment {
     valid_len: u64,
     first_seq: u64,
     last_seq: Option<u64>,
-    records: Vec<(u64, JournalRecord)>,
 }
 
 struct Scan {
@@ -787,11 +815,16 @@ fn corrupt(path: &Path, what: impl fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{}: {what}", path.display()))
 }
 
-/// Scans all segments in `dir`. A torn tail (partial or CRC-failing
-/// trailing data) is tolerated only on the *last* segment; `lenient`
-/// additionally tolerates a torn header there (a crash between segment
-/// creation and header write).
-fn scan_dir(dir: &Path, lenient: bool) -> io::Result<Scan> {
+/// Scans all segments in `dir`, handing each record to `visit` in journal
+/// order as its frame is decoded; only one frame is held at a time. A
+/// torn tail (partial or CRC-failing trailing data) is tolerated only on
+/// the *last* segment; `lenient` additionally tolerates a torn header
+/// there (a crash between segment creation and header write).
+fn scan_dir(
+    dir: &Path,
+    lenient: bool,
+    visit: &mut dyn FnMut(u64, JournalRecord),
+) -> io::Result<Scan> {
     let mut indices: Vec<u64> = Vec::new();
     if dir.is_dir() {
         for entry in fs::read_dir(dir)? {
@@ -811,13 +844,15 @@ fn scan_dir(dir: &Path, lenient: bool) -> io::Result<Scan> {
     let mut segments = Vec::with_capacity(indices.len());
     let mut truncated_bytes = 0u64;
     let mut prev_seq: Option<u64> = None;
+    let mut body = Vec::new();
     for (pos, &index) in indices.iter().enumerate() {
         let last_segment = pos + 1 == indices.len();
         let path = segment_path(dir, index);
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        let file_len = bytes.len() as u64;
-        if bytes.len() < SEGMENT_HEADER_LEN as usize {
+        let file = File::open(&path)?;
+        let file_len = file.metadata()?.len();
+        let mut reader = BufReader::new(file);
+        let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
+        if file_len < SEGMENT_HEADER_LEN || !read_fully(&mut reader, &mut header)? {
             if last_segment && lenient {
                 truncated_bytes += file_len;
                 segments.push(ScannedSegment {
@@ -827,30 +862,24 @@ fn scan_dir(dir: &Path, lenient: bool) -> io::Result<Scan> {
                     valid_len: 0,
                     first_seq: prev_seq.map_or(0, |s| s + 1),
                     last_seq: None,
-                    records: Vec::new(),
                 });
                 continue;
             }
             return Err(corrupt(&path, "segment shorter than its header"));
         }
-        if bytes[..4] != MAGIC {
+        if header[..4] != MAGIC {
             return Err(corrupt(&path, "bad magic"));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
         if version != FORMAT_VERSION {
             return Err(corrupt(&path, format!("unsupported format version {version}")));
         }
-        let first_seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let mut records = Vec::new();
-        let mut offset = SEGMENT_HEADER_LEN as usize;
+        let first_seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
         let mut valid_len = SEGMENT_HEADER_LEN;
         let mut last_seq = None;
-        loop {
-            if offset == bytes.len() {
-                break;
-            }
-            let frame = read_frame(&bytes[offset..]);
-            match frame {
+        while valid_len < file_len {
+            let offset = valid_len;
+            match read_frame(&mut reader, file_len - offset, &mut body)? {
                 Ok((seq, record, consumed)) => {
                     if prev_seq.is_some_and(|prev| seq <= prev) {
                         return Err(corrupt(
@@ -863,9 +892,8 @@ fn scan_dir(dir: &Path, lenient: bool) -> io::Result<Scan> {
                     }
                     prev_seq = Some(seq);
                     last_seq = Some(seq);
-                    records.push((seq, record));
-                    offset += consumed;
-                    valid_len = offset as u64;
+                    visit(seq, record);
+                    valid_len = offset + consumed;
                 }
                 Err(e) => {
                     if last_segment {
@@ -877,40 +905,52 @@ fn scan_dir(dir: &Path, lenient: bool) -> io::Result<Scan> {
                 }
             }
         }
-        segments.push(ScannedSegment {
-            index,
-            path,
-            file_len,
-            valid_len,
-            first_seq,
-            last_seq,
-            records,
-        });
+        segments.push(ScannedSegment { index, path, file_len, valid_len, first_seq, last_seq });
     }
     Ok(Scan { segments, truncated_bytes })
 }
 
-/// Parses one frame from `bytes`; returns `(seq, record, bytes consumed)`.
-fn read_frame(bytes: &[u8]) -> Result<(u64, JournalRecord, usize), DecodeError> {
-    if bytes.len() < 8 {
-        return Err(DecodeError("partial frame header".into()));
+/// Fills `buf` from `reader`; `Ok(false)` when the file ends first (it
+/// shrank since its length was read).
+fn read_fully(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+    match reader.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
     }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
+}
+
+/// Parses the next frame from `reader`, which has `remaining` bytes left
+/// in its segment, reusing `body` as the frame buffer; returns
+/// `(seq, record, bytes consumed)`. The outer error is I/O, the inner one
+/// a torn or corrupt frame.
+fn read_frame(
+    reader: &mut impl Read,
+    remaining: u64,
+    body: &mut Vec<u8>,
+) -> io::Result<Result<(u64, JournalRecord, u64), DecodeError>> {
+    let mut head = [0u8; 8];
+    if remaining < 8 || !read_fully(reader, &mut head)? {
+        return Ok(Err(DecodeError("partial frame header".into())));
+    }
+    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
     if !(8..=MAX_FRAME_LEN).contains(&len) {
-        return Err(DecodeError(format!("implausible frame length {len}")));
+        return Ok(Err(DecodeError(format!("implausible frame length {len}"))));
     }
-    let stored_crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let end = 8usize + len as usize;
-    if bytes.len() < end {
-        return Err(DecodeError("frame body truncated".into()));
+    let stored_crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
+    let end = 8 + u64::from(len);
+    if remaining < end {
+        return Ok(Err(DecodeError("frame body truncated".into())));
     }
-    let body = &bytes[8..end];
+    body.resize(len as usize, 0);
+    if !read_fully(reader, body)? {
+        return Ok(Err(DecodeError("frame body truncated".into())));
+    }
     if crc32(body) != stored_crc {
-        return Err(DecodeError("CRC mismatch".into()));
+        return Ok(Err(DecodeError("CRC mismatch".into())));
     }
     let seq = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-    let record = JournalRecord::decode(&body[8..])?;
-    Ok((seq, record, end))
+    Ok(JournalRecord::decode(&body[8..]).map(|record| (seq, record, end)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1232,6 +1272,41 @@ mod tests {
             assert_eq!(*seq, i as u64);
             assert_eq!(got.encode(), want.encode());
         }
+    }
+
+    #[test]
+    fn streaming_read_visits_what_read_returns() {
+        let dir = tmp_dir("stream");
+        let options = JournalOptions { fsync_every: 2, segment_max_bytes: 256 };
+        let journal = Journal::open_with(&dir, options).unwrap();
+        for record in all_variants() {
+            journal.append(&record).unwrap();
+        }
+        journal.sync().unwrap();
+        drop(journal);
+        // A torn body: a plausible frame header whose body never landed.
+        let last = fs::read_dir(&dir).unwrap().count() as u64 - 1;
+        let mut file = OpenOptions::new().append(true).open(segment_path(&dir, last)).unwrap();
+        let mut torn = Vec::new();
+        put_u32(&mut torn, 64);
+        put_u32(&mut torn, 0);
+        torn.extend_from_slice(&[0x17; 5]);
+        file.write_all(&torn).unwrap();
+        drop(file);
+
+        let read = Journal::read(&dir).unwrap();
+        let mut visited = Vec::new();
+        let summary =
+            Journal::for_each_record(&dir, |seq, record| visited.push((seq, record.encode())))
+                .unwrap();
+        assert!(summary.segments > 1);
+        assert_eq!(summary.segments, read.segments);
+        assert_eq!(summary.truncated_bytes, 13);
+        assert_eq!(summary.truncated_bytes, read.truncated_bytes);
+        assert_eq!(summary.records, all_variants().len() as u64);
+        let expected: Vec<(u64, Vec<u8>)> =
+            read.records.iter().map(|(seq, record)| (*seq, record.encode())).collect();
+        assert_eq!(visited, expected);
     }
 
     #[test]
